@@ -8,8 +8,9 @@
 // flushed outside it — so the consensus core itself stays single-threaded
 // and performs no I/O, exactly as in the simulator.
 //
-// This is the deployment path a downstream user runs on a real cluster; the
-// repo's benches use the simulator instead (determinism and virtual time).
+// This is the deployment path a downstream user runs on a real cluster. The
+// paper figures use the simulator (determinism and virtual time); the
+// wall-clock benches (bench/escape_bench, fig16_serving) run RealNode.
 #pragma once
 
 #include <atomic>

@@ -5,8 +5,8 @@
 namespace escape::net {
 
 RealDriver::RealDriver(storage::StateStore& store, storage::Wal& wal,
-                       storage::SnapshotStore* snapshots, raft::NodeDriver::Options options)
-    : base_(store, wal, snapshots, options) {
+                       storage::SnapshotStore* snapshots)
+    : base_(store, wal, snapshots) {
   auto& hooks = base_.hooks();
   hooks.send = [this](const std::vector<rpc::Envelope>& batch) {
     sink_->messages.insert(sink_->messages.end(), batch.begin(), batch.end());
@@ -56,20 +56,6 @@ bool RealDriver::pump_unit(Effects& out) {
     }
   }
   return any;
-}
-
-std::size_t RealDriver::flush_persists(Effects& out, TimePoint now) {
-  if (sink_) throw std::logic_error("RealDriver::flush_persists() re-entered");
-  sink_ = &out;
-  std::size_t released = 0;
-  try {
-    released = base_.flush_persists(now);
-  } catch (...) {
-    sink_ = nullptr;
-    throw;
-  }
-  sink_ = nullptr;
-  return released;
 }
 
 }  // namespace escape::net

@@ -11,8 +11,9 @@
 // apply, grant).
 //
 // driver_conformance_test replays identical scenarios through this buffered
-// style and sim::SimDriver's immediate style and asserts the Ready streams
-// match — the two runtimes drive one core the same way.
+// style and a bare raft::NodeDriver with immediate hooks (the simulator's
+// style) and asserts the Ready streams match — the two runtimes drive one
+// core the same way.
 #pragma once
 
 #include <memory>
@@ -44,8 +45,7 @@ class RealDriver {
     }
   };
 
-  RealDriver(storage::StateStore& store, storage::Wal& wal,
-             storage::SnapshotStore* snapshots, raft::NodeDriver::Options options = {});
+  RealDriver(storage::StateStore& store, storage::Wal& wal, storage::SnapshotStore* snapshots);
 
   /// See raft::NodeDriver::recover().
   raft::Bootstrap recover() { return base_.recover(); }
@@ -68,12 +68,6 @@ class RealDriver {
   /// fan-out as one transport send_batch(). Returns false when nothing was
   /// pending.
   bool pump_unit(Effects& out);
-
-  /// Async-persist completion (call holding the node lock, like pump_one):
-  /// the WAL sync happens here and each released batch's held messages land
-  /// in `out` for flushing outside the lock. See
-  /// raft::NodeDriver::flush_persists().
-  std::size_t flush_persists(Effects& out, TimePoint now);
 
   /// The generic drain underneath — tests attach phase hooks and Ready
   /// observers here.

@@ -14,6 +14,14 @@ namespace {
 /// the command payload (term + index + length prefix on the wire).
 constexpr std::size_t kEntryFramingBytes = 24;
 
+/// Heartbeat rounds between InstallSnapshot retries to a follower that has
+/// not replied (e.g. it is down): the snapshot is the full state payload,
+/// so re-shipping it on *every* round while a peer is dark is pure waste.
+/// Any reply from the peer clears the throttle immediately. Keep the retry
+/// period (rounds x heartbeat_interval) below the minimum election timeout
+/// so a recovering follower is caught up before its timer fires.
+constexpr std::uint64_t kSnapshotRetryRounds = 2;
+
 }  // namespace
 
 namespace {
@@ -380,18 +388,6 @@ std::optional<LogIndex> RaftNode::submit(std::vector<std::uint8_t> command, Time
   maybe_advance_commit(now);  // single-node clusters commit immediately
   sync_soft_state();
   return index;
-}
-
-void RaftNode::ack_persisted(LogIndex durable, TimePoint now) {
-  assert(started_);
-  assert_inputs_allowed();
-  if (durable > durable_index_) {
-    durable_index_ = durable;
-    // The leader's own copy just became countable (see NodeOptions::
-    // async_persist); entries waiting only on it can commit now.
-    if (role_ == Role::kLeader) maybe_advance_commit(now);
-  }
-  sync_soft_state();
 }
 
 bool RaftNode::transfer_leadership(ServerId target, TimePoint now) {
@@ -1229,11 +1225,11 @@ void RaftNode::send_append_entries(ServerId peer, bool include_config) {
   if (next <= log_.base()) {
     // The entries this follower needs are compacted away; only the snapshot
     // can catch it up (Raft §7). Re-ship to a *silent* peer (likely down —
-    // every copy would be dropped anyway) only every snapshot_retry_rounds
+    // every copy would be dropped anyway) only every kSnapshotRetryRounds
     // heartbeats; any reply from the peer clears the throttle.
     const auto it = install_sent_round_.find(peer);
     if (it != install_sent_round_.end() &&
-        counters_.heartbeat_rounds - it->second < options_.snapshot_retry_rounds) {
+        counters_.heartbeat_rounds - it->second < kSnapshotRetryRounds) {
       return;
     }
     install_sent_round_[peer] = counters_.heartbeat_rounds;
@@ -1293,18 +1289,16 @@ void RaftNode::send_install_snapshot(ServerId peer) {
 }
 
 void RaftNode::maybe_advance_commit(TimePoint now) {
-  // Per-voter-set majority test: self counts only when its own copy is
-  // durable — always true with an inline-persisting driver (the Ready
-  // contract persists before the acks that drive this arrive), but in
-  // async-persist mode the local WAL tail may still sit in the completion
-  // queue, and until ack_persisted() covers n, commitment must come from
-  // the followers alone. Learners and retired peers hold Progress but sit
-  // outside every voter set, so their matches never count here.
+  // Per-voter-set majority test. Self always counts: the driver persists
+  // each Ready batch before sending its messages, so the local copy is
+  // durable before any ack that drives this arrives. Learners and retired
+  // peers hold Progress but sit outside every voter set, so their matches
+  // never count here.
   const auto set_replicated = [&](const std::vector<ServerId>& set, LogIndex n) {
     std::size_t replicas = 0;
     for (const ServerId s : set) {
       if (s == id_) {
-        if (!options_.async_persist || durable_index_ >= n) ++replicas;
+        ++replicas;
       } else {
         const auto it = progress_.find(s);
         if (it != progress_.end() && it->second.match >= n) ++replicas;

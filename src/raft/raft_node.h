@@ -17,10 +17,10 @@
 //   }
 //   schedule_wakeup_at(node.next_deadline());
 //
-// Two drivers exist: the simulator's (sim::SimDriver, under SimCluster) and
-// the TCP runtime's (net::RealDriver, under RealNode). Both consume Ready
-// through raft::NodeDriver, so SimCheck fuzzes exactly the code production
-// runs — including all the ESCAPE machinery (patrol rearrangement π(P, k),
+// Two runtimes drive it: the simulator (SimCluster) and the TCP runtime
+// (net::RealDriver, under RealNode). Both consume Ready through
+// raft::NodeDriver, so SimCheck fuzzes exactly the code production runs —
+// including all the ESCAPE machinery (patrol rearrangement π(P, k),
 // PPF pool, confClock strides, lease arming/revocation, vote-recency guard),
 // which lives entirely inside this class.
 //
@@ -73,29 +73,12 @@ struct NodeOptions {
   /// 1 degenerates to one-batch-per-RTT replication.
   std::size_t max_inflight_msgs = 16;
 
-  /// Async-persist mode: the driver stages WAL writes and acks durability
-  /// later via ack_persisted(). Until its own tail is acked durable, the
-  /// leader does not count itself toward the commit quorum — a quorum of
-  /// followers alone may still commit. Without this gate an async leader
-  /// could commit with (self + quorum-1) copies, crash losing its unsynced
-  /// tail, and the entry would survive on too few servers. Must match the
-  /// driver's async option.
-  bool async_persist = false;
-
   /// Append and replicate a no-op entry on winning an election (commits
   /// prior-term entries per Raft §5.4.2). Off by default so election-latency
   /// experiments keep scripted log contents; the real-time runtime
   /// (net::RealNode) turns it on — without it a fresh leader cannot commit
   /// entries recovered from prior terms until new client traffic arrives.
   bool commit_noop_on_elect = false;
-
-  /// Heartbeat rounds between InstallSnapshot retries to a follower that has
-  /// not replied (e.g. it is down): the snapshot is the full state payload,
-  /// so re-shipping it on *every* round while a peer is dark is pure waste.
-  /// Any reply from the peer clears the throttle immediately. Keep the
-  /// retry period (rounds x heartbeat_interval) below the minimum election
-  /// timeout so a recovering follower is caught up before its timer fires.
-  std::uint64_t snapshot_retry_rounds = 2;
 
   /// Leader-lease length as a fraction of the policy's minimum election
   /// timeout (ESCAPE: baseTime, the Eq. 1 period of the top priority P = n).
@@ -254,13 +237,6 @@ class RaftNode {
   /// Fires any timer whose deadline is <= now.
   void tick(TimePoint now);
 
-  /// Async-persist completion (drivers running NodeDriver::Options::
-  /// async_persist): everything through `durable` is now on stable storage.
-  /// Unblocks the leader's self-count in the commit rule (see
-  /// NodeOptions::async_persist). Monotonic; stale acks are ignored. A no-op
-  /// (but harmless) input when async_persist is off.
-  void ack_persisted(LogIndex durable, TimePoint now);
-
   /// Leader-side command submission. Returns the assigned log index, or
   /// nullopt when this node is not the leader (caller redirects using
   /// leader_hint()).
@@ -379,8 +355,6 @@ class RaftNode {
     const auto it = progress_.find(peer);
     return it == progress_.end() ? nullptr : &it->second;
   }
-  /// Highest index acked durable via ack_persisted() (async-persist mode).
-  LogIndex durable_index() const { return durable_index_; }
   /// Configuration clock currently adopted (0 under vanilla Raft).
   ConfClock conf_clock() const { return policy_->current_config().conf_clock; }
   /// True when this leader's lease authorizes zero-message reads at `now`.
@@ -527,11 +501,8 @@ class RaftNode {
   // Leader state.
   std::unordered_map<ServerId, Progress> progress_;
   /// Heartbeat round at which an InstallSnapshot was last shipped per peer;
-  /// throttles resends to silent followers (see snapshot_retry_rounds).
+  /// throttles resends to silent followers (see kSnapshotRetryRounds).
   std::unordered_map<ServerId, std::uint64_t> install_sent_round_;
-  /// Highest log index the driver has acked durable (async-persist mode;
-  /// tracks the WAL tail trivially when the driver persists inline).
-  LogIndex durable_index_ = 0;
 
   // Read fast path (leader volatile state; cleared on every role change).
   struct PendingRead {

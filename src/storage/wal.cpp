@@ -75,8 +75,7 @@ void MemoryWal::compact_to(LogIndex upto) {
   base_ = upto;
 }
 
-FileWal::FileWal(std::string path, bool sync_every_record)
-    : path_(std::move(path)), sync_every_record_(sync_every_record) {
+FileWal::FileWal(std::string path) : path_(std::move(path)) {
   // Replay pass: read the whole file, apply records, stop at the first
   // corrupt/partial record and remember the valid byte length.
   std::vector<std::uint8_t> data;
@@ -186,7 +185,6 @@ void FileWal::write_buffer(const std::vector<std::uint8_t>& buf) {
     if (n < 0) throw_errno("write", path_);
     off += static_cast<std::size_t>(n);
   }
-  if (sync_every_record_) sync();
 }
 
 void FileWal::write_record(std::uint8_t kind, const std::vector<std::uint8_t>& payload) {

@@ -97,7 +97,7 @@ class FileWal final : public Wal {
   /// Opens (creating if needed) the WAL at `path` and replays existing
   /// records. Recovered entries are available via recovered_entries() until
   /// the first mutation. A trailing torn record is truncated away.
-  explicit FileWal(std::string path, bool sync_every_record = false);
+  explicit FileWal(std::string path);
   ~FileWal() override;
 
   FileWal(const FileWal&) = delete;
@@ -123,7 +123,6 @@ class FileWal final : public Wal {
   void write_buffer(const std::vector<std::uint8_t>& buf);
 
   std::string path_;
-  bool sync_every_record_;
   int fd_ = -1;
   LogIndex base_ = 0;
   std::vector<rpc::LogEntry> recovered_;

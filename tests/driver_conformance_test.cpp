@@ -1,4 +1,4 @@
-// Driver conformance: the simulator's immediate-dispatch SimDriver and the
+// Driver conformance: the simulator's immediate-dispatch NodeDriver and the
 // TCP runtime's buffered RealDriver must drive one core identically. A
 // scripted three-node scenario — election, replication, leader failover,
 // snapshot catch-up of a lagging restart, and a linearizable read — runs
@@ -15,8 +15,8 @@
 
 #include "common/rng.h"
 #include "net/real_driver.h"
+#include "raft/driver.h"
 #include "raft/raft_node.h"
-#include "sim/sim_driver.h"
 #include "storage/snapshot_store.h"
 #include "storage/state_store.h"
 #include "storage/wal.h"
@@ -43,7 +43,7 @@ struct Server {
   storage::MemoryStateStore store;
   storage::MemoryWal wal;
   storage::MemorySnapshotStore snaps;
-  std::unique_ptr<sim::SimDriver> sim;
+  std::unique_ptr<NodeDriver> sim;
   std::unique_ptr<net::RealDriver> real;
   std::unique_ptr<RaftNode> node;
   bool alive = false;
@@ -74,13 +74,13 @@ class MiniCluster {
                                         std::move(boot));
     };
     if (style_ == Style::kSim) {
-      s.sim = std::make_unique<sim::SimDriver>(s.store, s.wal, &s.snaps);
+      s.sim = std::make_unique<NodeDriver>(s.store, s.wal, &s.snaps);
       s.node = make_node(s.sim->recover());
       s.sim->attach(*s.node);
       s.sim->hooks().send = [this](const std::vector<rpc::Envelope>& batch) {
         for (const auto& env : batch) wire_.push_back(env);
       };
-      s.sim->base().hooks().observe = [&s](const Ready& rd) { s.stream += fingerprint(rd); };
+      s.sim->hooks().observe = [&s](const Ready& rd) { s.stream += fingerprint(rd); };
     } else {
       s.real = std::make_unique<net::RealDriver>(s.store, s.wal, &s.snaps);
       s.node = make_node(s.real->recover());

@@ -1,8 +1,8 @@
-#include "storage/log.h"
+#include "raft/log.h"
 
 #include <gtest/gtest.h>
 
-namespace escape::storage {
+namespace escape::raft {
 namespace {
 
 rpc::LogEntry entry(Term t, LogIndex i) {
@@ -177,4 +177,4 @@ TEST(LogTest, ApproxBytesTracksSuffixOnly) {
 }
 
 }  // namespace
-}  // namespace escape::storage
+}  // namespace escape::raft
