@@ -2,16 +2,20 @@
 // its inputs. Feeding the identical input sequence into two fresh cores must
 // produce byte-identical Ready streams and identical final state — there is
 // no hidden clock, no I/O, no allocation-order dependence to diverge on.
-// Also pins down the Ready lifecycle discipline (ready()/advance() pairing,
-// no inputs mid-drain).
+// Each storm's stream is also pinned to a committed FNV-1a-64 digest, so a
+// refactor of the core that changes behaviour deterministically still fails
+// here. Also pins down the Ready lifecycle discipline (ready()/advance()
+// pairing, no inputs mid-drain).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "raft/raft_node.h"
+#include "shard/router.h"
 #include "test_ready_fingerprint.h"
 
 namespace escape::raft {
@@ -237,6 +241,26 @@ std::string run_script(const std::vector<Input>& script, std::uint64_t rng_seed,
   return out;
 }
 
+/// Compares the FNV-1a-64 digest of a storm's stream with its committed
+/// value. A change that alters core behaviour on purpose replaces the row
+/// printed on failure and says why in CHANGES.md.
+void expect_pinned(const std::map<std::uint64_t, std::uint64_t>& pins, std::uint64_t seed,
+                   const std::string& stream) {
+  const std::uint64_t digest = shard::fnv1a64(stream);
+  const auto it = pins.find(seed);
+  if (it != pins.end() && it->second == digest) return;
+  char row[64];
+  std::snprintf(row, sizeof row, "{%llu, 0x%016llxull},", static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(digest));
+  ADD_FAILURE() << "storm " << seed << " diverged from its pinned digest; the current row is:\n"
+                << row;
+}
+
+const std::map<std::uint64_t, std::uint64_t> kCoreStormDigests = {
+    {101, 0xb4efd4455af4b554ull}, {202, 0xa272817c8681d03bull}, {303, 0xcb999ee51d1e2eceull},
+    {404, 0x32f0d1c91409c76cull}, {505, 0x0164aebd185991d6ull}, {606, 0xa48fa8fb0d064e91ull},
+};
+
 class CoreDeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CoreDeterminismTest, IdenticalInputsIdenticalReadyStreams) {
@@ -245,6 +269,7 @@ TEST_P(CoreDeterminismTest, IdenticalInputsIdenticalReadyStreams) {
   const std::string second = run_script(script, GetParam() ^ 0xF00D);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+  expect_pinned(kCoreStormDigests, GetParam(), first);
 }
 
 TEST_P(CoreDeterminismTest, DifferentRngSeedsStillDeterministicPerSeed) {
@@ -273,6 +298,11 @@ NodeOptions pipelined_options() {
   return opts;
 }
 
+const std::map<std::uint64_t, std::uint64_t> kPipelinedStormDigests = {
+    {111, 0x7726c0a7b3617334ull}, {222, 0x281af07cdafdab31ull}, {333, 0xf9e800e1aa1f707dull},
+    {444, 0x18c30426279fc78eull}, {555, 0x4bdcb7c3ea7b053dull}, {666, 0x38d4afd77cfb7d42ull},
+};
+
 class PipelinedDeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PipelinedDeterminismTest, StormYieldsIdenticalReadyStreams) {
@@ -284,6 +314,7 @@ TEST_P(PipelinedDeterminismTest, StormYieldsIdenticalReadyStreams) {
   // The storm must actually commit through the pipeline — a stream that is
   // identical because nothing happened proves nothing.
   EXPECT_EQ(first.find(" commit=0 "), std::string::npos);
+  expect_pinned(kPipelinedStormDigests, GetParam(), first);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinedDeterminismTest,
