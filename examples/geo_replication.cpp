@@ -37,7 +37,7 @@ Outcome run(const char* name, sim::PolicyFactory policy) {
   for (int i = 0; i < kRounds; ++i) {
     sim::SimCluster cluster(geo_cluster(policy, 0x6E0 + static_cast<std::uint64_t>(i) * 37));
     if (sim::bootstrap(cluster) == kNoServer) continue;
-    const auto r = sim::measure_failover(cluster);
+    const auto r = sim::ScenarioRunner(cluster).measure_failover();
     if (!r.converged) continue;
     out.total_ms.add(to_ms_f(r.total));
     out.campaigns.add(static_cast<double>(r.campaigns));

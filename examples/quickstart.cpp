@@ -76,7 +76,7 @@ int main() {
   //    holding the top-priority configuration) detects the failure after
   //    baseTime (1500 ms) and wins in exactly one campaign.
   std::printf("--- crashing the leader ---\n");
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   std::printf("new leader %s in term %lld after %.0f ms "
               "(detection %.0f ms + election %.0f ms), campaigns: %zu\n",
               server_name(result.new_leader).c_str(),

@@ -10,10 +10,11 @@ KvCluster::KvCluster(sim::SimCluster& cluster) : cluster_(cluster) {
   for (ServerId id : cluster_.members()) stores_[id] = std::make_unique<KvStore>();
   cluster_.set_apply_hook([this](ServerId id, const rpc::LogEntry& entry) {
     // A replayed index means the node restarted and is rebuilding its state
-    // machine from the log; start from a fresh store.
+    // machine from the log; start from a fresh store. A host added after
+    // construction (SimCluster::add_host) gets its store on its first apply.
     auto& store = stores_[id];
     auto& last = last_applied_[id];
-    if (entry.index <= last) store = std::make_unique<KvStore>();
+    if (!store || entry.index <= last) store = std::make_unique<KvStore>();
     last = entry.index;
     const auto result_bytes = store->apply(entry);
     if (const auto cmd = decode_command(entry.command)) {

@@ -338,12 +338,6 @@ void EventLoop::close(ConnId id) {
   if (need_wake) wake();
 }
 
-std::size_t EventLoop::outbuf_bytes(ConnId id) const {
-  std::lock_guard lock(mu_);
-  const auto it = conns_.find(id);
-  return it == conns_.end() ? 0 : it->second->out.size();
-}
-
 std::size_t EventLoop::connection_count() const {
   std::lock_guard lock(mu_);
   return conns_.size();

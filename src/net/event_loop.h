@@ -216,9 +216,6 @@ class EventLoop {
   /// on the loop thread.
   void close(ConnId conn);
 
-  /// Bytes currently queued on `conn`'s output ring (flow-control probes).
-  std::size_t outbuf_bytes(ConnId conn) const;
-
   /// Live connection count (listener and wake fd excluded).
   std::size_t connection_count() const;
 

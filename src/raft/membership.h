@@ -5,13 +5,17 @@
 // transition, so a node that crashed mid-reconfig reconstructs its exact
 // membership from snapshot + log alone. This header holds the pure helpers:
 // the transition function (current membership × ConfChange → target), the
-// joint-config completion, the conf-entry payload codec, and set utilities
-// the core uses to derive its peer and quorum sets. Everything is
+// joint-config completion, the one joint-majority rule every quorum decision
+// goes through, the join/leave stepping rule, the conf-entry payload codec,
+// and set utilities the core uses to derive its peer sets. Everything is
 // deterministic and allocation-light; RaftNode owns all policy (when a
 // change is legal to *propose*).
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -89,6 +93,66 @@ inline rpc::Membership finish_joint(const rpc::Membership& joint) {
   rpc::Membership final_config = joint;
   final_config.old_voters.clear();
   return final_config;
+}
+
+/// The value a majority of every active voter set has reached, capped at
+/// `ceiling`. Per set, that is the largest v such that a majority of its
+/// members have value_of(member) >= v; the result is the smaller of the
+/// `voters` figure and, while Cold,new is in force, the `old_voters` figure
+/// (dissertation §4.3: a joint configuration decides only with both
+/// majorities). An empty set has no majority to wait for and counts as
+/// having reached `ceiling`. Learners sit outside both sets and never count.
+/// RaftNode decides elections (votes as 0/1), commits (match indexes) and
+/// read confirmations (echoed heartbeat rounds) with this one rule.
+template <typename T, typename ValueOf>
+T joint_quorum_value(const rpc::Membership& m, T ceiling, ValueOf value_of) {
+  const auto majority_value = [&](const std::vector<ServerId>& set) {
+    if (set.empty()) return ceiling;
+    std::vector<T> values;
+    values.reserve(set.size());
+    for (const ServerId s : set) values.push_back(value_of(s));
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(set.size() / 2);
+    std::nth_element(values.begin(), nth, values.end(), std::greater<>());
+    return std::min(*nth, ceiling);
+  };
+  const T reached = majority_value(m.voters);
+  return m.joint() ? std::min(reached, majority_value(m.old_voters)) : reached;
+}
+
+/// The goal of a rolling membership workflow for one server.
+enum class MembershipGoal : std::uint8_t {
+  kJoin,   ///< become a voter of a settled configuration
+  kLeave,  ///< be gone from a settled configuration
+};
+
+/// What a membership workflow does next, judged from the leader's
+/// membership: the goal holds, a change is in flight, or `change` is the
+/// next one to propose.
+struct MembershipStep {
+  enum class Kind : std::uint8_t { kDone, kWait, kPropose };
+  Kind kind = Kind::kWait;
+  ConfChange change{};  ///< valid when kind == kPropose
+};
+
+/// The join/leave stepping rule. Drivers re-derive the step from the current
+/// leader's membership on every retry, so leader changes, rollbacks and lost
+/// replies all land on a retry instead of a stuck phase. Joining: absent ->
+/// AddLearner, learner -> Promote (the core answers kNotCaughtUp until
+/// catch-up finishes), voter in a joint config -> wait for the leader's
+/// automatic Cnew, voter of a settled config -> done. Leaving: gone from a
+/// settled config -> done, any joint config -> wait (it is the removal in
+/// flight, or kBusy would be the answer anyway), otherwise -> Remove.
+inline MembershipStep membership_step(const rpc::Membership& m, ServerId server,
+                                      MembershipGoal goal) {
+  using Kind = MembershipStep::Kind;
+  using Op = rpc::ConfChangeOp;
+  if (goal == MembershipGoal::kJoin) {
+    if (m.is_voter(server)) return {m.joint() ? Kind::kWait : Kind::kDone};
+    return {Kind::kPropose, {m.is_learner(server) ? Op::kPromote : Op::kAddLearner, server}};
+  }
+  if (m.joint()) return {Kind::kWait};
+  if (!m.contains(server)) return {Kind::kDone};
+  return {Kind::kPropose, {Op::kRemove, server}};
 }
 
 /// Everyone the leader replicates to: voters ∪ old_voters ∪ learners,

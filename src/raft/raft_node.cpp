@@ -165,41 +165,25 @@ void RaftNode::set_membership(rpc::Membership m, LogIndex at, TimePoint now) {
 }
 
 void RaftNode::rescan_membership(TimePoint now) {
-  rpc::Membership m = base_membership_;
-  LogIndex at = 0;
-  for (LogIndex i = log_.first_index(); i <= log_.last_index(); ++i) {
-    const auto* e = log_.entry_at(i);
-    if (e != nullptr && e->kind == rpc::EntryKind::kConfChange) {
-      m = decode_conf_entry(e->command);
-      at = i;
-    }
-  }
+  auto [m, at] = membership_at(log_.last_index());
   set_membership(std::move(m), at, now);
 }
 
-rpc::Membership RaftNode::membership_at(LogIndex upto) const {
-  rpc::Membership m = base_membership_;
+std::pair<rpc::Membership, LogIndex> RaftNode::membership_at(LogIndex upto) const {
+  std::pair<rpc::Membership, LogIndex> out{base_membership_, 0};
   const LogIndex last = std::min(upto, log_.last_index());
   for (LogIndex i = log_.first_index(); i <= last; ++i) {
     const auto* e = log_.entry_at(i);
     if (e != nullptr && e->kind == rpc::EntryKind::kConfChange) {
-      m = decode_conf_entry(e->command);
+      out = {decode_conf_entry(e->command), i};
     }
   }
-  return m;
+  return out;
 }
 
 bool RaftNode::votes_win() const {
-  if (membership_.voters.empty()) return false;
-  const auto majority = [&](const std::vector<ServerId>& set) {
-    std::size_t got = 0;
-    for (ServerId s : set) {
-      if (votes_.count(s) != 0) ++got;
-    }
-    return got >= set.size() / 2 + 1;
-  };
-  if (!majority(membership_.voters)) return false;
-  return !membership_.joint() || majority(membership_.old_voters);
+  const auto granted = [&](ServerId s) { return votes_.count(s) != 0 ? 1 : 0; };
+  return !membership_.voters.empty() && joint_quorum_value(membership_, 1, granted) == 1;
 }
 
 RaftNode::ConfChangeResult RaftNode::propose_conf_change(const ConfChange& change,
@@ -230,16 +214,9 @@ RaftNode::ConfChangeResult RaftNode::propose_conf_change(const ConfChange& chang
       return out;
     }
   }
-  rpc::LogEntry entry;
-  entry.term = current_term_;
-  entry.index = log_.last_index() + 1;
-  entry.kind = rpc::EntryKind::kConfChange;
-  entry.command = encode_conf_entry(*target);
-  out.index = entry.index;
   out.status = rpc::ConfChangeStatus::kOk;
-  append_entry(std::move(entry), now);  // adopts the membership on append
-  for (ServerId peer : others_) maybe_send_appends(peer);
-  maybe_advance_commit(now);  // single-node clusters commit immediately
+  // The conf entry takes effect on append (latest-config-in-log).
+  out.index = replicate_new(rpc::EntryKind::kConfChange, encode_conf_entry(*target), now);
   sync_soft_state();
   LOG_DEBUG(server_name(id_) << " proposed conf change op=" << static_cast<int>(change.op)
                              << " server=" << server_name(change.server) << " @" << out.index);
@@ -251,14 +228,7 @@ void RaftNode::maybe_finish_conf_change(TimePoint now) {
   if (membership_.joint()) {
     // Cold,new is committed under both majorities: the handoff is decided.
     // Append Cnew so the old majority retires.
-    rpc::LogEntry entry;
-    entry.term = current_term_;
-    entry.index = log_.last_index() + 1;
-    entry.kind = rpc::EntryKind::kConfChange;
-    entry.command = encode_conf_entry(finish_joint(membership_));
-    append_entry(std::move(entry), now);
-    for (ServerId peer : others_) maybe_send_appends(peer);
-    maybe_advance_commit(now);
+    replicate_new(rpc::EntryKind::kConfChange, encode_conf_entry(finish_joint(membership_)), now);
     return;
   }
   if (!membership_.is_voter(id_)) {
@@ -333,7 +303,7 @@ void RaftNode::step(const rpc::Envelope& envelope, TimePoint now) {
         } else if constexpr (std::is_same_v<T, rpc::RequestVoteReply>) {
           handle_request_vote_reply(m, now);
         } else if constexpr (std::is_same_v<T, rpc::AppendEntries>) {
-          handle_append_entries(envelope.from, m, now);
+          handle_append_entries(m, now);
         } else if constexpr (std::is_same_v<T, rpc::AppendEntriesReply>) {
           handle_append_entries_reply(m, now);
         } else if constexpr (std::is_same_v<T, rpc::TimeoutNow>) {
@@ -373,19 +343,7 @@ std::optional<LogIndex> RaftNode::submit(std::vector<std::uint8_t> command, Time
   assert(started_);
   assert_inputs_allowed();
   if (role_ != Role::kLeader) return std::nullopt;
-  rpc::LogEntry entry;
-  entry.term = current_term_;
-  entry.index = log_.last_index() + 1;
-  entry.command = std::move(command);
-  const LogIndex index = entry.index;
-  append_entry(std::move(entry), now);
-  // Replicate eagerly while each peer's pipelining window has room;
-  // heartbeats would pick it up anyway, but latency matters to clients.
-  // Once a window fills, further submissions accumulate and leave as
-  // multi-entry batches when acks (or the next round) reopen it — that
-  // backpressure is where batching coalescing actually comes from.
-  for (ServerId peer : others_) maybe_send_appends(peer);
-  maybe_advance_commit(now);  // single-node clusters commit immediately
+  const LogIndex index = replicate_new(rpc::EntryKind::kNormal, std::move(command), now);
   sync_soft_state();
   return index;
 }
@@ -416,13 +374,6 @@ bool RaftNode::transfer_leadership(ServerId target, TimePoint now) {
 
 // --- read fast path ----------------------------------------------------------
 
-void RaftNode::append_noop(TimePoint now) {
-  rpc::LogEntry noop;
-  noop.term = current_term_;
-  noop.index = log_.last_index() + 1;
-  append_entry(std::move(noop), now);
-}
-
 bool RaftNode::lease_valid(TimePoint now) const {
   return role_ == Role::kLeader && !transfer_pending_ && options_.lease_ratio > 0 &&
          lease_until_ > 0 && now < lease_until_ &&
@@ -452,31 +403,22 @@ std::optional<ReadId> RaftNode::submit_read(TimePoint now) {
   // what it acked before.
   if (sole_voter()) {
     if (!term_committed) {
-      append_noop(now);
+      append_new(rpc::EntryKind::kNormal, {}, now);
       maybe_advance_commit(now);  // self-quorum: commits the whole log
     }
-    grant_read(id, commit_index_, /*via_lease=*/false, now);
-    ++counters_.read_index_reads;
+    finish_read(id, commit_index_, /*ok=*/true, /*via_lease=*/false, now);
     sync_soft_state();
     return id;
   }
   if (term_committed && lease_valid(now) && last_applied_ >= commit_index_) {
-    grant_read(id, commit_index_, /*via_lease=*/true, now);
-    ++counters_.lease_reads;
+    finish_read(id, commit_index_, /*ok=*/true, /*via_lease=*/true, now);
     return id;
   }
   // Backpressure: a leader that cannot reach a quorum (minority partition)
   // would otherwise queue reads without bound until it finally steps down.
   // Past the cap, reject immediately — the client retries or re-routes.
   if (pending_reads_.size() >= kMaxPendingReads) {
-    ready_.read_grants.push_back({id, 0, /*ok=*/false, false});
-    ++counters_.reads_rejected;
-    NodeEvent ev;
-    ev.kind = NodeEvent::Kind::kReadRejected;
-    ev.term = current_term_;
-    ev.at = now;
-    ev.read_id = id;
-    emit(ev);
+    finish_read(id, 0, /*ok=*/false, /*via_lease=*/false, now);
     return id;
   }
   // ReadIndex: remember today's commit frontier; quorum acks to a round
@@ -493,7 +435,7 @@ std::optional<ReadId> RaftNode::submit_read(TimePoint now) {
     // condition can be met without waiting for client write traffic. When a
     // round is about to open it carries the entry; only replicate
     // explicitly when the batch is riding an in-flight round instead.
-    append_noop(now);
+    append_new(rpc::EntryKind::kNormal, {}, now);
     if (!open_round_now) {
       for (ServerId peer : others_) maybe_send_appends(peer);
     }
@@ -508,32 +450,18 @@ void RaftNode::note_round_ack(ServerId peer, std::uint64_t round, TimePoint now)
   auto& acked = acked_round_[peer];
   if (round <= acked) return;
   acked = round;
-  // Quorum-max per voter set: the highest round a majority of the set has
-  // acknowledged (self counts at broadcast_round_ when it is in the set;
-  // learner echoes never gate a quorum). A joint configuration confirms a
-  // round only when BOTH majorities have echoed it — the same rule its
-  // commits and elections obey, so a read confirmed mid-reconfig is sound
-  // against rivals elected under either configuration.
-  const auto set_round = [&](const std::vector<ServerId>& set) -> std::uint64_t {
-    std::vector<std::uint64_t> rounds;
-    rounds.reserve(set.size());
-    for (const ServerId s : set) {
-      if (s == id_) {
-        rounds.push_back(broadcast_round_);
-      } else {
-        const auto it = acked_round_.find(s);
-        rounds.push_back(it == acked_round_.end() ? 0 : it->second);
-      }
-    }
-    if (rounds.empty()) return broadcast_round_;
-    const auto nth = static_cast<std::ptrdiff_t>(rounds.size() / 2);
-    std::nth_element(rounds.begin(), rounds.begin() + nth, rounds.end(), std::greater<>());
-    return rounds[static_cast<std::size_t>(nth)];
+  // The highest round a majority of every voter set has acknowledged (self
+  // counts at broadcast_round_ when it is in a set; learner echoes never
+  // gate a quorum). A joint configuration confirms a round only when BOTH
+  // majorities have echoed it — the same rule its commits and elections
+  // obey, so a read confirmed mid-reconfig is sound against rivals elected
+  // under either configuration.
+  const auto echoed = [&](ServerId s) -> std::uint64_t {
+    if (s == id_) return broadcast_round_;
+    const auto it = acked_round_.find(s);
+    return it == acked_round_.end() ? 0 : it->second;
   };
-  std::uint64_t quorum_round = set_round(membership_.voters);
-  if (membership_.joint()) {
-    quorum_round = std::min(quorum_round, set_round(membership_.old_voters));
-  }
+  const std::uint64_t quorum_round = joint_quorum_value(membership_, broadcast_round_, echoed);
   if (quorum_round <= confirmed_round_) return;
   confirmed_round_ = quorum_round;
 
@@ -567,40 +495,30 @@ void RaftNode::release_ready_reads(TimePoint now) {
   while (released < pending_reads_.size()) {
     const PendingRead& r = pending_reads_[released];
     if (r.required_round > confirmed_round_ || last_applied_ < r.read_index) break;
-    grant_read(r.id, r.read_index, /*via_lease=*/false, now);
-    ++counters_.read_index_reads;
+    finish_read(r.id, r.read_index, /*ok=*/true, /*via_lease=*/false, now);
     ++released;
   }
   pending_reads_.erase(pending_reads_.begin(),
                        pending_reads_.begin() + static_cast<std::ptrdiff_t>(released));
 }
 
-void RaftNode::grant_read(ReadId id, LogIndex read_index, bool via_lease, TimePoint now) {
-  assert(last_applied_ >= read_index);
-  ready_.read_grants.push_back({id, read_index, /*ok=*/true, via_lease});
-  NodeEvent ev;
-  ev.kind = NodeEvent::Kind::kReadGranted;
-  ev.term = current_term_;
-  ev.index = read_index;
-  ev.at = now;
-  ev.read_id = id;
-  ev.via_lease = via_lease;
-  emit(ev);
-}
-
-void RaftNode::reject_pending_reads(TimePoint now) {
-  for (const PendingRead& r : pending_reads_) {
-    ready_.read_grants.push_back({r.id, r.read_index, /*ok=*/false, false});
+void RaftNode::finish_read(ReadId id, LogIndex read_index, bool ok, bool via_lease,
+                           TimePoint now) {
+  assert(!ok || last_applied_ >= read_index);
+  ready_.read_grants.push_back({id, read_index, ok, via_lease});
+  if (!ok) {
     ++counters_.reads_rejected;
-    NodeEvent ev;
-    ev.kind = NodeEvent::Kind::kReadRejected;
-    ev.term = current_term_;
-    ev.index = r.read_index;
-    ev.at = now;
-    ev.read_id = r.id;
-    emit(ev);
+  } else if (via_lease) {
+    ++counters_.lease_reads;
+  } else {
+    ++counters_.read_index_reads;
   }
-  pending_reads_.clear();
+  emit({.kind = ok ? NodeEvent::Kind::kReadGranted : NodeEvent::Kind::kReadRejected,
+        .term = current_term_,
+        .index = read_index,
+        .at = now,
+        .read_id = id,
+        .via_lease = via_lease});
 }
 
 void RaftNode::revoke_lease() {
@@ -609,7 +527,10 @@ void RaftNode::revoke_lease() {
 }
 
 void RaftNode::reset_read_state(TimePoint now) {
-  reject_pending_reads(now);
+  for (const PendingRead& r : pending_reads_) {
+    finish_read(r.id, r.read_index, /*ok=*/false, /*via_lease=*/false, now);
+  }
+  pending_reads_.clear();
   revoke_lease();
   transfer_pending_ = false;
   acked_round_.clear();
@@ -643,7 +564,7 @@ std::optional<LogIndex> RaftNode::compact(LogIndex upto, std::vector<std::uint8_
   snap.config = policy_->current_config();
   // Membership as of the compaction boundary (conf entries above `upto`
   // survive in the log and still override this on a future rescan).
-  snap.membership = membership_at(upto);
+  snap.membership = membership_at(upto).first;
   snap.state = std::move(state);
   snapshot_ = std::make_shared<const Snapshot>(std::move(snap));
   // Snapshot first, compact second: a crash between the two replays a log
@@ -788,7 +709,7 @@ void RaftNode::become_leader(TimePoint now) {
     // Forced when an uncommitted configuration entry was inherited: an
     // in-flight reconfiguration must complete without waiting for client
     // traffic to supply the current-term entry the commit rule needs.
-    append_noop(now);
+    append_new(rpc::EntryKind::kNormal, {}, now);
   }
   broadcast_heartbeat_round(now);
   maybe_advance_commit(now);  // single-node clusters
@@ -853,50 +774,50 @@ void RaftNode::handle_request_vote(const rpc::RequestVote& m, TimePoint now) {
   send(m.candidate_id, reply);
 }
 
-void RaftNode::handle_request_vote_reply(const rpc::RequestVoteReply& m, TimePoint now) {
-  if (m.term > current_term_) {
-    become_follower(m.term, kNoServer, now, /*reset_timer=*/false);
-    return;
+bool RaftNode::accept_reply(Term term, Role role, TimePoint now) {
+  if (term > current_term_) {
+    become_follower(term, kNoServer, now, /*reset_timer=*/false);
+    return false;
   }
-  if (role_ != Role::kCandidate || m.term < current_term_ || !m.vote_granted) return;
+  return role_ == role && term == current_term_;
+}
+
+void RaftNode::handle_request_vote_reply(const rpc::RequestVoteReply& m, TimePoint now) {
+  if (!accept_reply(m.term, Role::kCandidate, now) || !m.vote_granted) return;
   votes_.insert(m.voter_id);
   if (votes_win()) become_leader(now);
 }
 
-void RaftNode::handle_append_entries(ServerId from, const rpc::AppendEntries& m, TimePoint now) {
-  (void)from;
-  if (m.term < current_term_) {
-    rpc::AppendEntriesReply reply;
+template <typename Reply>
+bool RaftNode::accept_leader(Term term, ServerId leader, TimePoint now) {
+  if (term < current_term_) {
+    Reply reply;  // a stale leader learns the newer term from the refusal
     reply.term = current_term_;
     reply.success = false;
     reply.from = id_;
     reply.status = own_status();
-    send(m.leader_id, reply);
-    return;
+    send(leader, reply);
+    return false;
   }
-  if (m.term > current_term_) {
-    become_follower(m.term, m.leader_id, now, /*reset_timer=*/false);
-  } else if (role_ == Role::kCandidate) {
-    become_follower(m.term, m.leader_id, now, /*reset_timer=*/false);
+  if (term > current_term_ || role_ == Role::kCandidate) {
+    become_follower(term, leader, now, /*reset_timer=*/false);
   } else if (role_ == Role::kLeader) {
     // Two leaders in one term violates Election Safety; refuse loudly.
-    LOG_ERROR(server_name(id_) << " saw AppendEntries from " << server_name(m.leader_id)
+    LOG_ERROR(server_name(id_) << " heard leader " << server_name(leader)
                                << " in own leadership term " << current_term_);
-    return;
+    return false;
   }
-  leader_id_ = m.leader_id;
+  leader_id_ = leader;
   last_leader_contact_ = now;  // vote-recency guard input
+  return true;
+}
+
+void RaftNode::handle_append_entries(const rpc::AppendEntries& m, TimePoint now) {
+  if (!accept_leader<rpc::AppendEntriesReply>(m.term, m.leader_id, now)) return;
 
   // Adopt any piggybacked configuration before re-arming the timer so the
   // new election-timeout period takes effect immediately (Section IV-B).
-  if (m.new_config && policy_->on_config_received(*m.new_config)) {
-    persist_state();
-    ++counters_.config_adoptions;
-    emit({.kind = NodeEvent::Kind::kConfigAdopted,
-          .term = current_term_,
-          .config = *m.new_config,
-          .at = now});
-  }
+  if (m.new_config && adopt_config(*m.new_config, now)) persist_state();
   arm_election_timer(now);
 
   rpc::AppendEntriesReply reply;
@@ -964,11 +885,7 @@ void RaftNode::handle_append_entries(ServerId from, const rpc::AppendEntries& m,
 }
 
 void RaftNode::handle_append_entries_reply(const rpc::AppendEntriesReply& m, TimePoint now) {
-  if (m.term > current_term_) {
-    become_follower(m.term, kNoServer, now, /*reset_timer=*/false);
-    return;
-  }
-  if (role_ != Role::kLeader || m.term < current_term_) return;
+  if (!accept_reply(m.term, Role::kLeader, now)) return;
 
   // The peer is alive and talking: lift the snapshot-resend throttle so a
   // follower that still needs the snapshot gets it immediately.
@@ -1023,27 +940,10 @@ void RaftNode::handle_append_entries_reply(const rpc::AppendEntriesReply& m, Tim
 }
 
 void RaftNode::handle_install_snapshot(const rpc::InstallSnapshot& m, TimePoint now) {
+  if (!accept_leader<rpc::InstallSnapshotReply>(m.term, m.leader_id, now)) return;
+  arm_election_timer(now);
   rpc::InstallSnapshotReply reply;
   reply.from = id_;
-  if (m.term < current_term_) {
-    reply.term = current_term_;
-    reply.success = false;
-    reply.status = own_status();
-    send(m.leader_id, reply);
-    return;
-  }
-  if (m.term > current_term_ || role_ == Role::kCandidate) {
-    become_follower(m.term, m.leader_id, now, /*reset_timer=*/false);
-  } else if (role_ == Role::kLeader) {
-    // Same-term InstallSnapshot from another leader: Election Safety is
-    // broken; refuse loudly, as with AppendEntries.
-    LOG_ERROR(server_name(id_) << " saw InstallSnapshot from " << server_name(m.leader_id)
-                               << " in own leadership term " << current_term_);
-    return;
-  }
-  leader_id_ = m.leader_id;
-  last_leader_contact_ = now;  // vote-recency guard input
-  arm_election_timer(now);
   reply.term = current_term_;
   reply.success = true;
   reply.round = m.round;  // a snapshot shipped for a round still confirms it
@@ -1061,12 +961,7 @@ void RaftNode::handle_install_snapshot(const rpc::InstallSnapshot& m, TimePoint 
   // The message carries this follower's own PPF assignment; only a strictly
   // fresher clock is adopted, so an old snapshot resend can never roll the
   // confClock back.
-  if (policy_->on_config_received(m.config)) {
-    ++counters_.config_adoptions;
-    emit({.kind = NodeEvent::Kind::kConfigAdopted,
-          .term = current_term_,
-          .config = m.config,
-          .at = now});
+  if (adopt_config(m.config, now)) {
     arm_election_timer(now);  // the adopted timeout takes effect immediately
   }
   persist_state();
@@ -1131,11 +1026,7 @@ void RaftNode::handle_install_snapshot(const rpc::InstallSnapshot& m, TimePoint 
 
 void RaftNode::handle_install_snapshot_reply(const rpc::InstallSnapshotReply& m,
                                              TimePoint now) {
-  if (m.term > current_term_) {
-    become_follower(m.term, kNoServer, now, /*reset_timer=*/false);
-    return;
-  }
-  if (role_ != Role::kLeader || m.term < current_term_) return;
+  if (!accept_reply(m.term, Role::kLeader, now)) return;
   install_sent_round_.erase(m.from);  // it arrived; resume normal flow
   if (!m.success) return;
   policy_->on_follower_status(m.from, m.status);
@@ -1289,42 +1180,30 @@ void RaftNode::send_install_snapshot(ServerId peer) {
 }
 
 void RaftNode::maybe_advance_commit(TimePoint now) {
-  // Per-voter-set majority test. Self always counts: the driver persists
-  // each Ready batch before sending its messages, so the local copy is
-  // durable before any ack that drives this arrives. Learners and retired
-  // peers hold Progress but sit outside every voter set, so their matches
-  // never count here.
-  const auto set_replicated = [&](const std::vector<ServerId>& set, LogIndex n) {
-    std::size_t replicas = 0;
-    for (const ServerId s : set) {
-      if (s == id_) {
-        ++replicas;
-      } else {
-        const auto it = progress_.find(s);
-        if (it != progress_.end() && it->second.match >= n) ++replicas;
-      }
-    }
-    return replicas >= set.size() / 2 + 1;
+  if (membership_.voters.empty()) return;
+  // The highest index a majority of every voter set holds (joint consensus:
+  // both majorities while Cold,new is in force — dissertation §4.3). Self
+  // counts at its log tail: the driver persists each Ready batch before
+  // sending its messages, so the local copy is durable before any ack that
+  // drives this arrives. Learners and retired peers hold Progress but sit
+  // outside every voter set, so their matches never count here.
+  const auto match = [&](ServerId s) -> LogIndex {
+    if (s == id_) return log_.last_index();
+    const auto it = progress_.find(s);
+    return it == progress_.end() ? 0 : it->second.match;
   };
-  bool advanced = false;
-  // Raft §5.4.2: only entries of the current term commit by counting.
-  for (LogIndex n = log_.last_index(); n > commit_index_; --n) {
-    const auto t = log_.term_at(n);
-    if (!t || *t != current_term_) break;  // older-term entries commit transitively
-    // Joint consensus: a decision requires majorities of BOTH voter sets
-    // for as long as Cold,new is in force (dissertation §4.3).
-    if (!membership_.voters.empty() && set_replicated(membership_.voters, n) &&
-        (!membership_.joint() || set_replicated(membership_.old_voters, n))) {
-      commit_index_ = n;
-      apply_committed(now);
-      emit({.kind = NodeEvent::Kind::kCommitAdvanced, .term = current_term_, .index = n, .at = now});
-      advanced = true;
-      break;
-    }
-  }
+  const LogIndex n = joint_quorum_value(membership_, log_.last_index(), match);
+  // Raft §5.4.2: only an entry of the current term commits by counting;
+  // older-term entries below it commit transitively. A leader's own-term
+  // entries are a suffix of its log, so this commits exactly the highest
+  // quorum-held entry of that suffix.
+  if (n <= commit_index_ || log_.term_at(n) != current_term_) return;
+  commit_index_ = n;
+  apply_committed(now);
+  emit({.kind = NodeEvent::Kind::kCommitAdvanced, .term = current_term_, .index = n, .at = now});
   // Conf-change state machine: committing the joint entry triggers the Cnew
   // append; committing Cnew retires a removed leader.
-  if (advanced) maybe_finish_conf_change(now);
+  maybe_finish_conf_change(now);
 }
 
 // --- common machinery ------------------------------------------------------------
@@ -1360,6 +1239,36 @@ void RaftNode::append_entry(rpc::LogEntry entry, TimePoint now) {
     const auto* e = log_.entry_at(log_.last_index());
     set_membership(decode_conf_entry(e->command), log_.last_index(), now);
   }
+}
+
+LogIndex RaftNode::append_new(rpc::EntryKind kind, std::vector<std::uint8_t> command,
+                              TimePoint now) {
+  const LogIndex index = log_.last_index() + 1;
+  append_entry({current_term_, index, kind, std::move(command)}, now);
+  return index;
+}
+
+LogIndex RaftNode::replicate_new(rpc::EntryKind kind, std::vector<std::uint8_t> command,
+                                 TimePoint now) {
+  const LogIndex index = append_new(kind, std::move(command), now);
+  // Replicate eagerly while each peer's pipelining window has room;
+  // heartbeats would pick it up anyway, but latency matters to clients.
+  // Once a window fills, further entries accumulate and leave as
+  // multi-entry batches when acks (or the next round) reopen it — that
+  // backpressure is where batching coalescing actually comes from.
+  for (ServerId peer : others_) maybe_send_appends(peer);
+  maybe_advance_commit(now);  // single-node clusters commit immediately
+  return index;
+}
+
+bool RaftNode::adopt_config(const rpc::Configuration& config, TimePoint now) {
+  if (!policy_->on_config_received(config)) return false;
+  ++counters_.config_adoptions;
+  emit({.kind = NodeEvent::Kind::kConfigAdopted,
+        .term = current_term_,
+        .config = config,
+        .at = now});
+  return true;
 }
 
 void RaftNode::apply_committed(TimePoint now) {

@@ -38,6 +38,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -341,8 +342,6 @@ class RaftNode {
   /// Log index of the configuration entry membership() came from (0 when it
   /// is the bootstrap/snapshot base).
   LogIndex conf_index() const { return conf_index_; }
-  /// True when this server can vote and campaign under membership().
-  bool is_voter() const { return membership_.is_voter(id_); }
   const ElectionPolicy& policy() const { return *policy_; }
   ElectionPolicy& mutable_policy() { return *policy_; }
   const NodeCounters& counters() const { return counters_; }
@@ -375,13 +374,25 @@ class RaftNode {
   // Message handlers.
   void handle_request_vote(const rpc::RequestVote& m, TimePoint now);
   void handle_request_vote_reply(const rpc::RequestVoteReply& m, TimePoint now);
-  void handle_append_entries(ServerId from, const rpc::AppendEntries& m, TimePoint now);
+  void handle_append_entries(const rpc::AppendEntries& m, TimePoint now);
   void handle_append_entries_reply(const rpc::AppendEntriesReply& m, TimePoint now);
   void handle_timeout_now(const rpc::TimeoutNow& m, TimePoint now);
   void handle_install_snapshot(const rpc::InstallSnapshot& m, TimePoint now);
   void handle_install_snapshot_reply(const rpc::InstallSnapshotReply& m, TimePoint now);
   void handle_conf_change_request(ServerId from, const rpc::ConfChangeRequest& m,
                                   TimePoint now);
+  /// Shared prologue of the AppendEntries and InstallSnapshot handlers: a
+  /// stale leader gets a `Reply` refusal carrying our term; otherwise we
+  /// follow `leader` (false only when we lead this very term ourselves).
+  template <typename Reply>
+  bool accept_leader(Term term, ServerId leader, TimePoint now);
+  /// Shared prologue of the reply handlers: a reply from a higher term
+  /// deposes this server; otherwise the reply counts only when it is from
+  /// our term and we still hold `role`.
+  bool accept_reply(Term term, Role role, TimePoint now);
+  /// Adopts a leader-shipped ESCAPE configuration when it is fresher than
+  /// ours, counting and reporting the adoption. Returns whether it adopted.
+  bool adopt_config(const rpc::Configuration& config, TimePoint now);
 
   // Membership machinery.
   /// Adopts `m` as the membership in force (latest-config-in-log: applied
@@ -393,13 +404,13 @@ class RaftNode {
   /// Recomputes membership from base + surviving conf entries after a log
   /// truncation or snapshot rebase invalidated conf_index_.
   void rescan_membership(TimePoint now);
-  /// Membership as of log index `upto` (base + conf entries <= upto).
-  rpc::Membership membership_at(LogIndex upto) const;
+  /// Membership as of log index `upto` (base + conf entries <= upto), with
+  /// the index of the conf entry it came from (0 = base).
+  std::pair<rpc::Membership, LogIndex> membership_at(LogIndex upto) const;
   /// Leader-only: appends Cnew when the joint entry has committed under
   /// both majorities; steps down once Cnew commits without this server.
   void maybe_finish_conf_change(TimePoint now);
-  /// Quorum predicates over one voter set (joint configurations evaluate
-  /// both).
+  /// True when a majority of every active voter set granted its vote.
   bool votes_win() const;
   /// voter_union(membership_) minus self — who campaigns are addressed to.
   std::vector<ServerId> voter_others() const;
@@ -425,14 +436,11 @@ class RaftNode {
   void maybe_advance_commit(TimePoint now);
 
   // Read fast path (leader side).
-  /// Appends a current-term no-op barrier entry to the log and Ready batch
-  /// (§5.4.2: committing it commits every inherited prior-term entry
-  /// transitively).
-  void append_noop(TimePoint now);
   void note_round_ack(ServerId peer, std::uint64_t round, TimePoint now);
   void release_ready_reads(TimePoint now);
-  void grant_read(ReadId id, LogIndex read_index, bool via_lease, TimePoint now);
-  void reject_pending_reads(TimePoint now);
+  /// Completes read `id`: records the grant (ok) or rejection in the Ready
+  /// batch, counts it, and emits the matching read event.
+  void finish_read(ReadId id, LogIndex read_index, bool ok, bool via_lease, TimePoint now);
   void revoke_lease();
   /// Rejects pending reads, kills the lease, and zeroes the round-tracking
   /// state. Called on every role transition — the read fast path is strictly
@@ -447,6 +455,13 @@ class RaftNode {
   /// Appends `entry` to the in-memory log and records a kAppend op. A
   /// configuration entry takes effect here (latest-config-in-log).
   void append_entry(rpc::LogEntry entry, TimePoint now);
+  /// Leader-side: appends a new current-term entry at the log tail and
+  /// returns its index. An empty kNormal entry is the no-op barrier (§5.4.2:
+  /// committing it commits every inherited prior-term entry transitively).
+  LogIndex append_new(rpc::EntryKind kind, std::vector<std::uint8_t> command, TimePoint now);
+  /// append_new, then replicate to every peer's window and commit at once
+  /// when this server alone is a quorum.
+  LogIndex replicate_new(rpc::EntryKind kind, std::vector<std::uint8_t> command, TimePoint now);
   void apply_committed(TimePoint now);
   void send(ServerId to, rpc::Message message);
   void emit(NodeEvent event);

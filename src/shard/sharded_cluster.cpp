@@ -103,61 +103,40 @@ bool ShardedCluster::join_host(ServerId host, Duration max_wait) {
     for (const ServerId m : group->members()) present = present || m == host;
     if (!present) group->add_host(host);
   }
-  const TimePoint deadline = loop_.now() + max_wait;
-  const auto settled = [&](sim::SimCluster& g) {
-    const ServerId l = g.leader();
-    if (l == kNoServer) return false;
-    const auto& m = g.node(l).membership();
-    return m.is_voter(host) && !m.joint();
-  };
-  // Same state machine as the sim's JoinServer action, but stepping the
-  // shared loop directly: re-derive each group's phase from its leader's
-  // membership every slice, so kBusy windows, leader changes and snapshot
-  // catch-up all land on a retry.
-  while (loop_.now() < deadline) {
-    bool all = true;
-    for (auto& group : groups_) {
-      if (settled(*group)) continue;
-      all = false;
-      const ServerId l = group->leader();
-      if (l == kNoServer) continue;
-      const auto& m = group->node(l).membership();
-      if (m.is_voter(host)) continue;  // joint config resolving
-      group->propose_conf_change({m.is_learner(host) ? rpc::ConfChangeOp::kPromote
-                                                     : rpc::ConfChangeOp::kAddLearner,
-                                  host});
-    }
-    if (all) return true;
-    loop_.run_until(std::min(deadline, loop_.now() + from_ms(200)));
-  }
-  return std::all_of(groups_.begin(), groups_.end(),
-                     [&](const auto& g) { return settled(*g); });
+  return settle_membership(host, raft::MembershipGoal::kJoin, max_wait);
 }
 
 bool ShardedCluster::remove_host(ServerId host, Duration max_wait) {
+  return settle_membership(host, raft::MembershipGoal::kLeave, max_wait);
+}
+
+bool ShardedCluster::settle_membership(ServerId host, raft::MembershipGoal goal,
+                                       Duration max_wait) {
+  using Kind = raft::MembershipStep::Kind;
   const TimePoint deadline = loop_.now() + max_wait;
-  const auto gone = [&](sim::SimCluster& g) {
+  // A leaderless group waits for its election.
+  const auto step = [&](sim::SimCluster& g) {
     const ServerId l = g.leader();
-    if (l == kNoServer) return false;
-    const auto& m = g.node(l).membership();
-    return !m.contains(host) && !m.joint();
+    return l == kNoServer ? raft::MembershipStep{}
+                          : raft::membership_step(g.node(l).membership(), host, goal);
   };
+  // Same stepping rule as the sim's JoinServer/LeaveServer actions, but
+  // stepping the shared loop directly: each slice re-derives every group's
+  // step, so kBusy windows, leader changes and snapshot catch-up all land on
+  // a retry.
   while (loop_.now() < deadline) {
     bool all = true;
     for (auto& group : groups_) {
-      if (gone(*group)) continue;
+      const raft::MembershipStep s = step(*group);
+      if (s.kind == Kind::kDone) continue;
       all = false;
-      const ServerId l = group->leader();
-      if (l == kNoServer) continue;
-      if (!group->node(l).membership().joint()) {
-        group->propose_conf_change({rpc::ConfChangeOp::kRemove, host});
-      }
+      if (s.kind == Kind::kPropose) group->propose_conf_change(s.change);
     }
     if (all) return true;
     loop_.run_until(std::min(deadline, loop_.now() + from_ms(200)));
   }
   return std::all_of(groups_.begin(), groups_.end(),
-                     [&](const auto& g) { return gone(*g); });
+                     [&](const auto& g) { return step(*g).kind == Kind::kDone; });
 }
 
 void ShardedCluster::crash_host(ServerId host) {

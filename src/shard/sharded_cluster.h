@@ -123,6 +123,10 @@ class ShardedCluster {
   bool host_alive(ServerId host) const;
 
  private:
+  /// Steps every group toward `goal` for `host` (raft::membership_step)
+  /// until all of them report done or `max_wait` elapses.
+  bool settle_membership(ServerId host, raft::MembershipGoal goal, Duration max_wait);
+
   ShardedClusterOptions options_;
   sim::EventLoop loop_;
   ShardRouter router_;

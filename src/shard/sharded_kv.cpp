@@ -38,7 +38,7 @@ std::optional<kv::CommandResult> ShardedKv::read(const std::string& key, Duratio
 std::vector<std::string> ShardedKv::routing_violations() const {
   std::vector<std::string> violations;
   for (ShardId shard = 0; shard < cluster_.shards(); ++shard) {
-    for (ServerId host = 1; host <= cluster_.hosts(); ++host) {
+    for (const ServerId host : cluster_.group(shard).members()) {
       kvs_[shard]->store(host).for_each_key([&](const std::string& key) {
         const ShardId want = cluster_.shard_of(key);
         if (want != shard) {

@@ -130,8 +130,6 @@ void PlanRuntime::clear_markers() {
   markers_.clear();
   traffic_submitted_ = 0;
   reads_issued_ = 0;
-  joins_completed_ = 0;
-  leaves_completed_ = 0;
   last_crashed_ = kNoServer;
   live_->crashes_pending = 0;
 }
@@ -263,60 +261,29 @@ void PlanRuntime::read_tick(TimePoint end, Duration interval) {
   }
 }
 
-void PlanRuntime::join_tick(ServerId id, Duration interval) {
-  // One state machine, re-derived from the leader's membership every tick so
-  // leader changes, rollbacks and lost replies all land on a retry instead of
-  // a stuck phase: not-present -> AddLearner, learner -> Promote (the core
-  // answers kNotCaughtUp until replication/snapshot catch-up finishes),
-  // voter-in-joint -> wait, settled voter -> done.
+void PlanRuntime::membership_tick(ServerId id, raft::MembershipGoal goal, Duration interval) {
+  // The stepping rule is re-derived from the leader's membership every tick
+  // (see raft::membership_step); a leaderless tick just retries.
   const ServerId leader = cluster_.leader();
   if (leader != kNoServer) {
-    const auto& m = cluster_.node(leader).membership();
-    if (m.is_voter(id)) {
-      if (!m.joint()) {
-        ++joins_completed_;
-        PlanMarker marker;
-        marker.at = cluster_.loop().now();
-        marker.what = "join-complete";
-        marker.node = id;
-        marker.log_index = cluster_.event_log().size();
-        markers_.push_back(std::move(marker));
-        return;
-      }
-      // Joint config still resolving; the leader auto-appends Cnew on commit.
-    } else if (m.is_learner(id)) {
-      cluster_.propose_conf_change({rpc::ConfChangeOp::kPromote, id});
-    } else {
-      cluster_.propose_conf_change({rpc::ConfChangeOp::kAddLearner, id});
-    }
-  }
-  cluster_.loop().schedule_at(cluster_.loop().now() + interval,
-                              [this, live = live_, id, interval] {
-                                if (live->active) join_tick(id, interval);
-                              });
-}
-
-void PlanRuntime::leave_tick(ServerId id, Duration interval) {
-  const ServerId leader = cluster_.leader();
-  if (leader != kNoServer) {
-    const auto& m = cluster_.node(leader).membership();
-    if (!m.contains(id) && !m.joint()) {
-      ++leaves_completed_;
+    const raft::MembershipStep step =
+        raft::membership_step(cluster_.node(leader).membership(), id, goal);
+    if (step.kind == raft::MembershipStep::Kind::kDone) {
       PlanMarker marker;
       marker.at = cluster_.loop().now();
-      marker.what = "leave-complete";
+      marker.what = goal == raft::MembershipGoal::kJoin ? "join-complete" : "leave-complete";
       marker.node = id;
       marker.log_index = cluster_.event_log().size();
       markers_.push_back(std::move(marker));
       return;
     }
-    // A joint config containing the target is the removal in flight; propose
-    // only from a settled state (kBusy would be the answer anyway).
-    if (!m.joint()) cluster_.propose_conf_change({rpc::ConfChangeOp::kRemove, id});
+    if (step.kind == raft::MembershipStep::Kind::kPropose) {
+      cluster_.propose_conf_change(step.change);
+    }
   }
   cluster_.loop().schedule_at(cluster_.loop().now() + interval,
-                              [this, live = live_, id, interval] {
-                                if (live->active) leave_tick(id, interval);
+                              [this, live = live_, id, goal, interval] {
+                                if (live->active) membership_tick(id, goal, interval);
                               });
 }
 
@@ -537,7 +504,7 @@ void PlanRuntime::execute(const FaultAction& action) {
       bool present = false;
       for (const ServerId m : rt.cluster_.members()) present = present || (m == a.id);
       if (!present) rt.cluster_.add_host(a.id);
-      rt.join_tick(a.id, a.retry_interval);
+      rt.membership_tick(a.id, raft::MembershipGoal::kJoin, a.retry_interval);
     }
     void operator()(const LeaveServer& a) {
       const ServerId id = rt.resolve(a.node);
@@ -546,7 +513,7 @@ void PlanRuntime::execute(const FaultAction& action) {
         marker.ok = false;
         return;
       }
-      rt.leave_tick(id, a.retry_interval);
+      rt.membership_tick(id, raft::MembershipGoal::kLeave, a.retry_interval);
     }
     void operator()(const SnapshotAndCrash& a) {
       const ServerId id = rt.resolve(a.node);

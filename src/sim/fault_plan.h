@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "raft/election_policy.h"
+#include "raft/membership.h"
 #include "sim/sim_cluster.h"
 
 namespace escape::sim {
@@ -323,13 +324,6 @@ class PlanRuntime {
   /// Fast-path reads issued by ClientRead actions since the last clear.
   std::size_t reads_issued() const { return reads_issued_; }
 
-  /// JoinServer workflows that reached "settled voter" since the last clear.
-  std::size_t joins_completed() const { return joins_completed_; }
-
-  /// LeaveServer workflows whose target left the configuration since the
-  /// last clear.
-  std::size_t leaves_completed() const { return leaves_completed_; }
-
   /// Node most recently crashed by this runtime (kNoServer if none).
   ServerId last_crashed() const { return last_crashed_; }
 
@@ -362,8 +356,9 @@ class PlanRuntime {
   void proposal_tick(TimePoint end, Duration interval, std::size_t per_tick,
                      std::size_t payload_bytes);
   void read_tick(TimePoint end, Duration interval);
-  void join_tick(ServerId id, Duration interval);
-  void leave_tick(ServerId id, Duration interval);
+  /// One retry of a JoinServer/LeaveServer workflow: takes the next
+  /// raft::membership_step, marks completion, or reschedules itself.
+  void membership_tick(ServerId id, raft::MembershipGoal goal, Duration interval);
 
   SimCluster& cluster_;
   NetworkOptions base_options_;  ///< snapshot for scoped restore
@@ -377,8 +372,6 @@ class PlanRuntime {
   std::vector<PlanMarker> markers_;
   std::size_t traffic_submitted_ = 0;
   std::size_t reads_issued_ = 0;
-  std::size_t joins_completed_ = 0;
-  std::size_t leaves_completed_ = 0;
   ServerId last_crashed_ = kNoServer;
   std::shared_ptr<LiveFlag> live_;
   std::size_t listener_handle_ = 0;

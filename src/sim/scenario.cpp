@@ -215,7 +215,7 @@ FailoverResult ScenarioRunner::measure_competition(const CompetitionOptions& opt
                                                    Duration max_wait) {
   const ServerId leader = cluster_.leader();
   if (leader == kNoServer) {
-    throw std::logic_error("measure_failover_with_competition: no leader");
+    throw std::logic_error("measure_competition: no leader");
   }
   std::vector<ServerId> followers;
   for (ServerId id : cluster_.members()) {
@@ -358,19 +358,7 @@ std::vector<std::string> ScenarioRunner::trace() const {
   return lines;
 }
 
-// --- legacy free-function drivers -------------------------------------------
-
-FailoverResult measure_failover(SimCluster& cluster, Duration max_wait) {
-  ScenarioRunner runner(cluster);
-  return runner.measure_failover(max_wait);
-}
-
-FailoverResult measure_failover_with_competition(SimCluster& cluster,
-                                                 const CompetitionOptions& options,
-                                                 Duration max_wait) {
-  ScenarioRunner runner(cluster);
-  return runner.measure_competition(options, max_wait);
-}
+// --- free-function driver -----------------------------------------------------
 
 std::size_t drive_traffic(SimCluster& cluster, Duration duration, Duration interval,
                           std::size_t payload_bytes) {
@@ -379,12 +367,6 @@ std::size_t drive_traffic(SimCluster& cluster, Duration duration, Duration inter
   plan.at(0, TrafficBurst{duration, interval, payload_bytes});
   runner.run_plan(plan);
   return runner.runtime().traffic_submitted();
-}
-
-std::vector<FailoverResult> measure_failover_series(SimCluster& cluster,
-                                                    const SeriesOptions& options) {
-  ScenarioRunner runner(cluster);
-  return runner.run_series(options);
 }
 
 }  // namespace escape::sim

@@ -6,11 +6,13 @@
 //   detection period — crash .. first candidate appears (first campaign)
 //   election period  — first campaign .. new leader elected
 //
-// ScenarioRunner is the shared engine: it installs FaultPlans, runs the
-// event loop, and derives per-episode FailoverResults from the cluster's
-// event log. The legacy free functions (measure_failover, drive_traffic,
-// measure_failover_series, measure_failover_with_competition) are thin
-// wrappers that compose plan actions on a temporary runner.
+// ScenarioRunner is the engine every experiment runs on: it installs
+// FaultPlans, runs the event loop, and derives per-episode FailoverResults
+// from the cluster's event log. A runner either owns its cluster or borrows
+// one, so a one-off measurement on an existing cluster is
+// `ScenarioRunner(cluster).measure_failover()`. drive_traffic is the one
+// free-function driver left: it composes a traffic plan on a temporary
+// runner and returns the submission count.
 #pragma once
 
 #include <memory>
@@ -103,8 +105,7 @@ struct SeriesOptions {
 
 /// Drives a SimCluster through declarative FaultPlans and measures the
 /// resulting failover episodes. Owns the cluster when constructed from
-/// ClusterOptions, or borrows an existing one (the legacy free functions and
-/// tests use the borrowing form).
+/// ClusterOptions, or borrows an existing one.
 ///
 /// Every override a plan installs (latency, loss, scripted timeouts) is
 /// scoped to the runner's PlanRuntime and restored on destruction, so an
@@ -166,16 +167,6 @@ class ScenarioRunner {
   PlanRuntime runtime_;
 };
 
-/// Legacy driver: crashes the current leader on a borrowed cluster. See
-/// ScenarioRunner::measure_failover.
-FailoverResult measure_failover(SimCluster& cluster, Duration max_wait = from_ms(60'000));
-
-/// Legacy driver: Figure 10's forced competition on a borrowed cluster. See
-/// ScenarioRunner::measure_competition.
-FailoverResult measure_failover_with_competition(SimCluster& cluster,
-                                                 const CompetitionOptions& options,
-                                                 Duration max_wait = from_ms(120'000));
-
 /// Submits a small command through whatever leader exists every `interval`
 /// for `duration` of virtual time (a scoped TrafficBurst plan). Under message
 /// loss this keeps follower logs unevenly replicated — the precondition for
@@ -183,10 +174,5 @@ FailoverResult measure_failover_with_competition(SimCluster& cluster,
 /// submissions.
 std::size_t drive_traffic(SimCluster& cluster, Duration duration, Duration interval,
                           std::size_t payload_bytes = 16);
-
-/// Legacy driver: the Section VI series protocol on a borrowed cluster. See
-/// ScenarioRunner::run_series.
-std::vector<FailoverResult> measure_failover_series(SimCluster& cluster,
-                                                    const SeriesOptions& options);
 
 }  // namespace escape::sim

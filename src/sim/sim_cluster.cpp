@@ -23,7 +23,6 @@ SimCluster::SimCluster(ClusterOptions options)
   if (options_.size == 0) throw std::invalid_argument("cluster size must be >= 1");
   if (!options_.policy) options_.policy = raft_policy_factory(from_ms(1500), from_ms(3000));
   for (ServerId id = 1; id <= options_.size; ++id) members_.push_back(id);
-  seed_size_ = members_.size();
   network_ = std::make_unique<SimNetwork>(
       *loop_, options_.network, rng_.fork(0xBEEF),
       [this](const rpc::Envelope& env) { deliver(env); });

@@ -75,9 +75,6 @@ class SimCluster {
   bool alive(ServerId id) const;
   const std::vector<ServerId>& members() const { return members_; }
   std::size_t size() const { return members_.size(); }
-  /// Hosts present at construction (the bootstrap voter set). Joined hosts
-  /// (add_host) extend members() but never this list.
-  std::size_t seed_size() const { return seed_size_; }
 
   /// The unique alive leader in the highest term, or kNoServer when no alive
   /// node currently leads.
@@ -227,7 +224,6 @@ class SimCluster {
 
   ClusterOptions options_;
   std::vector<ServerId> members_;
-  std::size_t seed_size_ = 0;
   std::unique_ptr<EventLoop> owned_loop_;  ///< null when options_.loop is external
   EventLoop* loop_;
   Rng rng_;

@@ -37,7 +37,7 @@ TEST_P(EscapePropertySeeds, WinnerIsTopPriorityFollower) {
       top = id;
     }
   }
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.new_leader, top);
   EXPECT_EQ(best, static_cast<Priority>(cluster.size()));  // pool top is n
@@ -51,7 +51,7 @@ TEST_P(EscapePropertySeeds, ConcurrentCampaignsNeverShareATerm) {
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
   for (int round = 0; round < 2; ++round) {
     const ServerId victim = cluster.leader();
-    const auto result = sim::measure_failover(cluster);
+    const auto result = sim::ScenarioRunner(cluster).measure_failover();
     ASSERT_TRUE(result.converged);
     cluster.recover(victim);
     cluster.loop().run_until(cluster.loop().now() + from_ms(3'000));
@@ -78,7 +78,7 @@ TEST_P(EscapePropertySeeds, ConfigUniquenessHoldsThroughChurn) {
 
   for (int round = 0; round < 3; ++round) {
     const ServerId victim = cluster.leader();
-    ASSERT_TRUE(sim::measure_failover(cluster).converged);
+    ASSERT_TRUE(sim::ScenarioRunner(cluster).measure_failover().converged);
     cluster.recover(victim);
     cluster.loop().run_until(cluster.loop().now() + from_ms(4'000));
   }
@@ -98,7 +98,7 @@ TEST_P(EscapePropertySeeds, ConfClockIsMonotonicPerServer) {
     }
   });
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  ASSERT_TRUE(sim::measure_failover(cluster).converged);
+  ASSERT_TRUE(sim::ScenarioRunner(cluster).measure_failover().converged);
   cluster.loop().run_until(cluster.loop().now() + from_ms(5'000));
   EXPECT_TRUE(monotone);
   EXPECT_FALSE(last_clock.empty());
@@ -134,7 +134,7 @@ TEST(EscapePropertyTest, StaleRecoveredServerCannotWin) {
 
   // Crash the leader while the recovered server still holds its stale
   // high-priority configuration.
-  const auto result = sim::measure_failover(cluster, from_ms(60'000));
+  const auto result = sim::ScenarioRunner(cluster).measure_failover(from_ms(60'000));
   ASSERT_TRUE(result.converged);
   EXPECT_NE(result.new_leader, top)
       << "stale-clocked server won despite the confClock rule";
@@ -160,7 +160,7 @@ TEST(EscapePropertyTest, TermGrowthFollowsEquation2) {
     term_before[e.node] = e.term;
   });
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  ASSERT_TRUE(sim::measure_failover(cluster).converged);
+  ASSERT_TRUE(sim::ScenarioRunner(cluster).measure_failover().converged);
   EXPECT_TRUE(eq2_holds);
 }
 

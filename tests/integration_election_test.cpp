@@ -52,7 +52,7 @@ TEST_P(ElectionSeedTest, EscapeFailoverConvergesInOneCampaign) {
   SimCluster cluster(paper_escape_cluster(5, GetParam()));
   InvariantChecker inv(cluster);
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
   // Lemma 5: with nonfaulty candidates, exactly one campaign elects.
   EXPECT_EQ(result.campaigns, 1u);
@@ -66,7 +66,7 @@ TEST_P(ElectionSeedTest, RaftFailoverConverges) {
   SimCluster cluster(paper_raft_cluster(5, GetParam()));
   InvariantChecker inv(cluster);
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
   EXPECT_GE(result.campaigns, 1u);
   EXPECT_TRUE(inv.ok()) << inv.violations().front();
@@ -76,7 +76,7 @@ TEST_P(ElectionSeedTest, ZRaftFailoverConverges) {
   SimCluster cluster(testutil::paper_cluster(5, testutil::zraft_factory(), GetParam()));
   InvariantChecker inv(cluster);
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
   EXPECT_TRUE(inv.ok()) << inv.violations().front();
 }
@@ -87,7 +87,7 @@ TEST_P(ElectionSeedTest, EscapeConvergesUnderMessageLoss) {
   SimCluster cluster(options);
   InvariantChecker inv(cluster, /*check_configs=*/false);  // loss-tolerant run
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster, from_ms(120'000));
+  const auto result = sim::ScenarioRunner(cluster).measure_failover(from_ms(120'000));
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(inv.ok()) << inv.violations().front();
 }
@@ -98,7 +98,7 @@ TEST_P(ElectionSeedTest, RaftConvergesUnderMessageLoss) {
   SimCluster cluster(options);
   InvariantChecker inv(cluster);
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster, from_ms(120'000));
+  const auto result = sim::ScenarioRunner(cluster).measure_failover(from_ms(120'000));
   EXPECT_TRUE(result.converged);
   EXPECT_TRUE(inv.ok()) << inv.violations().front();
 }
@@ -115,7 +115,7 @@ TEST_P(EscapeScaleTest, SingleCampaignAtEveryScale) {
   const auto [scale, seed] = GetParam();
   SimCluster cluster(paper_escape_cluster(scale, seed));
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.campaigns, 1u);
   EXPECT_LE(result.total, from_ms(2100));  // baseTime + one vote round trip
@@ -130,7 +130,7 @@ TEST(ElectionTest, CrashedLeaderRejoinsAsFollower) {
   InvariantChecker inv(cluster);
   const ServerId old_leader = sim::bootstrap(cluster);
   ASSERT_NE(old_leader, kNoServer);
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
 
   cluster.recover(old_leader);
@@ -188,12 +188,12 @@ TEST(ElectionTest, ForcedCompetitionSplitsRaftButNotEscape) {
 
   SimCluster raft(paper_raft_cluster(5, 17));
   ASSERT_NE(sim::bootstrap(raft), kNoServer);
-  const auto raft_result = sim::measure_failover_with_competition(raft, comp);
+  const auto raft_result = sim::ScenarioRunner(raft).measure_competition(comp);
   ASSERT_TRUE(raft_result.converged);
 
   SimCluster esc(paper_escape_cluster(5, 17));
   ASSERT_NE(sim::bootstrap(esc), kNoServer);
-  const auto esc_result = sim::measure_failover_with_competition(esc, comp);
+  const auto esc_result = sim::ScenarioRunner(esc).measure_competition(comp);
   ASSERT_TRUE(esc_result.converged);
 
   // Raft pays ~2 extra timeout rounds (>= 2 x 1500 ms) over ESCAPE.
@@ -214,7 +214,7 @@ TEST(ElectionTest, GeoGroupedLatencyStillConverges) {
   SimCluster cluster(options);
   InvariantChecker inv(cluster);
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
-  const auto result = sim::measure_failover(cluster);
+  const auto result = sim::ScenarioRunner(cluster).measure_failover();
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.campaigns, 1u);  // priority scattering still prevents splits
   EXPECT_TRUE(inv.ok()) << inv.violations().front();
@@ -228,7 +228,7 @@ TEST(ElectionTest, RepeatedFailoversStaySafe) {
   for (int round = 0; round < 2; ++round) {  // only f=2 crashes allowed without recovery
     const ServerId leader = cluster.leader();
     if (round == 0) crashed_first = leader;
-    const auto result = sim::measure_failover(cluster);
+    const auto result = sim::ScenarioRunner(cluster).measure_failover();
     ASSERT_TRUE(result.converged) << "round " << round;
   }
   cluster.recover(crashed_first);

@@ -170,6 +170,26 @@ TEST(KvClusterTest, ReadsNeverStaleAcrossFailover) {
   EXPECT_GT(invariants.reads_checked(), 0u);
 }
 
+TEST(KvClusterTest, LearnerAddedAfterConstructionAppliesTheLog) {
+  // The store of a host racked after KvCluster was built is created on its
+  // first applied entry (it used to be a null dereference).
+  SimCluster cluster(paper_escape_cluster(3, 16));
+  KvCluster kv(cluster);
+  ASSERT_NE(sim::bootstrap(cluster), kNoServer);
+  ASSERT_TRUE(kv.put("before", "join").has_value());
+
+  cluster.add_host(4);
+  ASSERT_EQ(cluster.propose_conf_change({rpc::ConfChangeOp::kAddLearner, 4}).status,
+            rpc::ConfChangeStatus::kOk);
+  const auto put = kv.put("after", "join");
+  ASSERT_TRUE(put.has_value());
+  const LogIndex tail = cluster.node(cluster.leader()).log().last_index();
+  ASSERT_TRUE(cluster.run_until_applied(tail, cluster.loop().now() + from_ms(30'000)));
+
+  EXPECT_EQ(kv.store(4).peek("before"), "join");
+  EXPECT_EQ(kv.store(4).peek("after"), "join");
+}
+
 TEST(KvClusterTest, SequencesAreMonotonicAcrossOps) {
   // Each op gets a fresh sequence; duplicate suppression is keyed on it.
   SimCluster cluster(paper_escape_cluster(3, 15));

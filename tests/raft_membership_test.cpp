@@ -22,8 +22,12 @@ namespace escape {
 namespace {
 
 using raft::ConfChange;
+using raft::MembershipGoal;
+using raft::MembershipStep;
 using raft::apply_conf_change;
 using raft::finish_joint;
+using raft::joint_quorum_value;
+using raft::membership_step;
 using rpc::ConfChangeOp;
 using rpc::ConfChangeStatus;
 using rpc::Membership;
@@ -104,6 +108,68 @@ TEST(MembershipMathTest, NonsensicalChangesAreRejected) {
   EXPECT_FALSE(apply_conf_change(joint, {ConfChangeOp::kRemove, 4}).has_value());
   // kNoServer is never a valid subject.
   EXPECT_FALSE(apply_conf_change(base, {ConfChangeOp::kAddLearner, kNoServer}).has_value());
+}
+
+// --- the joint-majority rule ------------------------------------------------
+
+TEST(MembershipMathTest, JointQuorumValueIsWhatAMajorityOfEveryVoterSetReached) {
+  struct Case {
+    const char* name;
+    Membership m;
+    std::vector<int> values;  ///< values[s - 1] for server s; absent servers report 0
+    int ceiling;
+    int expected;
+  };
+  const std::vector<Case> cases = {
+      {"odd set: the 3rd highest of 5", members({1, 2, 3, 4, 5}), {9, 7, 5, 3, 1}, 100, 5},
+      {"even set: 3 of 4 must reach it", members({1, 2, 3, 4}), {9, 7, 5, 3}, 100, 5},
+      {"single voter", members({1}), {4}, 100, 4},
+      {"votes as 0/1: 2 of 3 granted", members({1, 2, 3}), {1, 0, 1}, 1, 1},
+      {"votes as 0/1: 1 of 3 granted", members({1, 2, 3}), {1}, 1, 0},
+      {"joint, disjoint: new set lower", members({4, 5, 6}, {1, 2, 3}), {9, 8, 1, 2, 3, 4}, 100, 3},
+      {"joint, disjoint: old set lower", members({4, 5, 6}, {1, 2, 3}), {1, 2, 9, 8, 8, 8}, 100, 2},
+      {"joint, overlapping sets", members({1, 2, 3, 4}, {1, 2, 3}), {6, 5, 1, 4}, 100, 4},
+      {"learners never count", members({1, 2, 3}, {}, {4, 5}), {9, 0, 0, 9, 9}, 100, 0},
+      {"an empty set reaches the ceiling", members({}), {}, 7, 7},
+      {"values above the ceiling are capped", members({1, 2, 3}), {50, 40, 1}, 10, 10},
+  };
+  for (const Case& c : cases) {
+    const auto value_of = [&](ServerId s) { return s <= c.values.size() ? c.values[s - 1] : 0; };
+    EXPECT_EQ(joint_quorum_value(c.m, c.ceiling, value_of), c.expected) << c.name;
+  }
+}
+
+// --- the join/leave stepping rule -------------------------------------------
+
+TEST(MembershipMathTest, MembershipStepCoversEveryState) {
+  using Kind = MembershipStep::Kind;
+  using Op = ConfChangeOp;
+  constexpr auto kJoin = MembershipGoal::kJoin;
+  constexpr auto kLeave = MembershipGoal::kLeave;
+  struct Case {
+    const char* name;
+    Membership m;
+    MembershipGoal goal;
+    Kind kind;
+    ConfChange change;  ///< checked when kind == kPropose
+  };
+  // Server 4 in every membership state, for each goal.
+  const std::vector<Case> cases = {
+      {"join: absent", members({1, 2, 3}), kJoin, Kind::kPropose, {Op::kAddLearner, 4}},
+      {"join: learner", members({1, 2, 3}, {}, {4}), kJoin, Kind::kPropose, {Op::kPromote, 4}},
+      {"join: voter in a joint config", members({1, 2, 3, 4}, {1, 2, 3}), kJoin, Kind::kWait, {}},
+      {"join: settled voter", members({1, 2, 3, 4}), kJoin, Kind::kDone, {}},
+      {"leave: settled voter", members({1, 2, 3, 4}), kLeave, Kind::kPropose, {Op::kRemove, 4}},
+      {"leave: learner", members({1, 2, 3}, {}, {4}), kLeave, Kind::kPropose, {Op::kRemove, 4}},
+      {"leave: removal in flight", members({1, 2, 3}, {1, 2, 3, 4}), kLeave, Kind::kWait, {}},
+      {"leave: joint, another change", members({1, 2, 3, 5}, {1, 2, 3}), kLeave, Kind::kWait, {}},
+      {"leave: gone", members({1, 2, 3}), kLeave, Kind::kDone, {}},
+  };
+  for (const Case& c : cases) {
+    const MembershipStep step = membership_step(c.m, 4, c.goal);
+    EXPECT_EQ(step.kind, c.kind) << c.name;
+    if (c.kind == Kind::kPropose) EXPECT_EQ(step.change, c.change) << c.name;
+  }
 }
 
 // --- codecs ------------------------------------------------------------------
@@ -200,45 +266,33 @@ TEST(MembershipSnapshotStoreTest, V1SnapshotsStillDecodeWithEmptyMembership) {
 
 // --- live workflows on the sim ----------------------------------------------
 
-/// Admin-client retry loop for AddServer: re-derives the next step (add
-/// learner -> wait for catch-up -> promote) from the leader's current
-/// membership each slice, exactly like the sim's JoinServer fault action.
-bool run_join(SimCluster& cluster, ServerId id, Duration max_wait) {
+/// Admin-client retry loop: re-derives the next step toward `goal` from the
+/// leader's current membership each slice, exactly like the sim's
+/// JoinServer/LeaveServer fault actions. A leave is not done while the
+/// removed server itself still leads: it adopted Cnew on append but only
+/// retires once Cnew commits.
+bool run_membership(SimCluster& cluster, ServerId id, MembershipGoal goal, Duration max_wait) {
   auto& loop = cluster.loop();
   const TimePoint deadline = loop.now() + max_wait;
   while (loop.now() < deadline) {
     const ServerId l = cluster.leader();
     if (l != kNoServer) {
-      const auto& m = cluster.node(l).membership();
-      if (m.is_voter(id) && !m.joint()) return true;
-      if (!m.is_voter(id)) {
-        cluster.propose_conf_change(
-            {m.is_learner(id) ? ConfChangeOp::kPromote : ConfChangeOp::kAddLearner, id});
-      }
+      const MembershipStep step = membership_step(cluster.node(l).membership(), id, goal);
+      const bool retiring = goal == MembershipGoal::kLeave && l == id;
+      if (step.kind == MembershipStep::Kind::kDone && !retiring) return true;
+      if (step.kind == MembershipStep::Kind::kPropose) cluster.propose_conf_change(step.change);
     }
     loop.run_until(loop.now() + from_ms(200));
   }
   return false;
 }
 
-/// Admin-client retry loop for RemoveServer.
+bool run_join(SimCluster& cluster, ServerId id, Duration max_wait) {
+  return run_membership(cluster, id, MembershipGoal::kJoin, max_wait);
+}
+
 bool run_remove(SimCluster& cluster, ServerId id, Duration max_wait) {
-  auto& loop = cluster.loop();
-  const TimePoint deadline = loop.now() + max_wait;
-  while (loop.now() < deadline) {
-    const ServerId l = cluster.leader();
-    if (l != kNoServer) {
-      const auto& m = cluster.node(l).membership();
-      // Not done while the removed server itself still leads: it adopted
-      // Cnew on append but only retires once Cnew commits.
-      if (l != id && !m.contains(id) && !m.joint()) return true;
-      if (m.contains(id) && !m.joint()) {
-        cluster.propose_conf_change({ConfChangeOp::kRemove, id});
-      }
-    }
-    loop.run_until(loop.now() + from_ms(200));
-  }
-  return false;
+  return run_membership(cluster, id, MembershipGoal::kLeave, max_wait);
 }
 
 TEST(MembershipSimTest, AddServerWorkflowGrowsTheCluster) {

@@ -144,5 +144,42 @@ TEST(ShardedKvTest, GroupsFailIndependently) {
   EXPECT_TRUE(kv.routing_violations().empty());
 }
 
+TEST(ShardedKvTest, HostJoinsAndLeavesEveryGroup) {
+  // join_host/remove_host roll one membership change across all groups; the
+  // routed KV client keeps committing after each step, and the joined
+  // host's replicas apply (and hold only their own shard's keys).
+  ShardedCluster cluster(make_sharded_options("escape", 3, 3, 108));
+  ShardedKv kv(cluster);
+  ASSERT_TRUE(cluster.bootstrap_all());
+  int writes = 0;
+  const auto put_some = [&] {
+    for (int i = 0; i < 6; ++i, ++writes) {
+      const std::string key = "member-" + std::to_string(writes);
+      ASSERT_TRUE(kv.put(key, "v", from_ms(30'000)).has_value()) << key;
+    }
+  };
+  put_some();
+
+  ASSERT_TRUE(cluster.join_host(4));
+  for (ShardId shard = 0; shard < cluster.shards(); ++shard) {
+    const auto& m = cluster.group(shard).node(cluster.leader(shard)).membership();
+    EXPECT_TRUE(m.is_voter(4)) << "shard " << shard;
+    EXPECT_FALSE(m.joint()) << "shard " << shard;
+  }
+  put_some();
+
+  ASSERT_TRUE(cluster.remove_host(4));
+  put_some();
+  ASSERT_TRUE(cluster.remove_host(1));
+  put_some();
+  // A group host 1 led re-elected among the survivors.
+  ASSERT_TRUE(cluster.run_until_all_leaders(cluster.loop().now() + from_ms(60'000)));
+  for (ShardId shard = 0; shard < cluster.shards(); ++shard) {
+    const auto& m = cluster.group(shard).node(cluster.leader(shard)).membership();
+    EXPECT_EQ(m.voters, (std::vector<ServerId>{2, 3})) << "shard " << shard;
+  }
+  EXPECT_TRUE(kv.routing_violations().empty());
+}
+
 }  // namespace
 }  // namespace escape::shard

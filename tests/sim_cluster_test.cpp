@@ -136,7 +136,7 @@ TEST(SimClusterTest, DeterministicReplay) {
   auto run_once = [] {
     SimCluster cluster(paper_escape_cluster(5, 0xD5));
     sim::bootstrap(cluster);
-    sim::measure_failover(cluster);
+    sim::ScenarioRunner(cluster).measure_failover();
     std::vector<std::tuple<int, ServerId, Term, TimePoint>> trace;
     for (const auto& e : cluster.event_log()) {
       trace.emplace_back(static_cast<int>(e.kind), e.node, e.term, e.at);

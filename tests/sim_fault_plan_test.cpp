@@ -292,28 +292,6 @@ TEST(FaultPlanTest, FailedActionsAreRecordedNotFatal) {
   EXPECT_NE(runner.cluster().leader(), kNoServer);
 }
 
-TEST(FaultPlanTest, SeriesViaRunnerMatchesLegacyDriver) {
-  // The legacy free function and the runner must produce identical series
-  // (they share the engine; this pins the wrappers to it).
-  sim::SeriesOptions opts;
-  opts.runs = 3;
-  opts.traffic_window = from_ms(1'000);
-
-  SimCluster legacy(paper_escape_cluster(5, 21));
-  const auto via_free = sim::measure_failover_series(legacy, opts);
-
-  ScenarioRunner runner(paper_escape_cluster(5, 21));
-  const auto via_runner = runner.run_series(opts);
-
-  ASSERT_EQ(via_free.size(), via_runner.size());
-  for (std::size_t i = 0; i < via_free.size(); ++i) {
-    EXPECT_EQ(via_free[i].converged, via_runner[i].converged);
-    EXPECT_EQ(via_free[i].total, via_runner[i].total);
-    EXPECT_EQ(via_free[i].new_leader, via_runner[i].new_leader);
-    EXPECT_EQ(via_free[i].campaigns, via_runner[i].campaigns);
-  }
-}
-
 TEST(FaultPlanTest, RaftClusterCrashViaPlanConverges) {
   ScenarioRunner runner(paper_raft_cluster(5, 22));
   ASSERT_NE(runner.bootstrap(), kNoServer);

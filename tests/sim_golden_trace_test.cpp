@@ -95,8 +95,7 @@ void append_trace(const std::vector<std::string>& trace, std::string& out) {
 
 std::string render(const GoldenRow& row) {
   char digest[32];
-  std::snprintf(digest, sizeof digest, "0x%016llxull",
-                static_cast<unsigned long long>(row.digest));
+  std::snprintf(digest, sizeof digest, "0x%016llxull", static_cast<unsigned long long>(row.digest));
   return "    {\"" + row.scenario + "\", \"" + row.policy + "\", " + std::to_string(row.events) +
          ", " + digest + "},";
 }

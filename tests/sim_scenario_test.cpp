@@ -33,7 +33,7 @@ TEST(ScenarioTest, SeriesProducesOneResultPerRun) {
   sim::SeriesOptions opts;
   opts.runs = 5;
   opts.traffic_window = from_ms(1'000);
-  const auto results = sim::measure_failover_series(cluster, opts);
+  const auto results = sim::ScenarioRunner(cluster).run_series(opts);
   ASSERT_EQ(results.size(), 5u);
   for (const auto& r : results) {
     EXPECT_TRUE(r.converged);
@@ -49,7 +49,7 @@ TEST(ScenarioTest, SeriesKeepsEventLogBounded) {
   sim::SeriesOptions opts;
   opts.runs = 4;
   opts.traffic_window = from_ms(500);
-  (void)sim::measure_failover_series(cluster, opts);
+  (void)sim::ScenarioRunner(cluster).run_series(opts);
   // The per-run clear keeps the retained log to roughly one run's events.
   EXPECT_LT(cluster.event_log().size(), 200u);
 }
@@ -62,7 +62,7 @@ TEST(ScenarioTest, ForcedCompetitionRaftPaysPerPhase) {
     ASSERT_NE(sim::bootstrap(cluster), kNoServer);
     sim::CompetitionOptions comp;
     comp.phases = phases;
-    const auto r = sim::measure_failover_with_competition(cluster, comp);
+    const auto r = sim::ScenarioRunner(cluster).measure_competition(comp);
     ASSERT_TRUE(r.converged) << "phases=" << phases;
     if (phases > 0) {
       EXPECT_GE(to_ms_f(r.total) - previous, 1'000.0) << "phases=" << phases;
@@ -78,7 +78,7 @@ TEST(ScenarioTest, ForcedCompetitionBystandersOnlyVote) {
   sim::CompetitionOptions comp;
   comp.phases = 1;
   const auto crash_floor = cluster.loop().now();
-  const auto r = sim::measure_failover_with_competition(cluster, comp);
+  const auto r = sim::ScenarioRunner(cluster).measure_competition(comp);
   ASSERT_TRUE(r.converged);
 
   // Campaigns after the crash came only from the two scripted rivals.
@@ -97,7 +97,7 @@ TEST(ScenarioTest, ForcedCompetitionRestoresLatencyModel) {
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
   sim::CompetitionOptions comp;
   comp.phases = 0;
-  (void)sim::measure_failover_with_competition(cluster, comp);
+  (void)sim::ScenarioRunner(cluster).measure_competition(comp);
   // After the scenario, fresh messages use the base 100-200 ms model again:
   // sample the restored latency function directly.
   Rng probe(1);
@@ -111,7 +111,7 @@ TEST(ScenarioTest, ForcedCompetitionRestoresLatencyModel) {
 TEST(ScenarioTest, MeasureFailoverRequiresLeader) {
   SimCluster cluster(paper_escape_cluster(3, 4));
   cluster.start_all();  // no leader yet
-  EXPECT_THROW(sim::measure_failover(cluster), std::logic_error);
+  EXPECT_THROW(sim::ScenarioRunner(cluster).measure_failover(), std::logic_error);
 }
 
 TEST(ScenarioTest, BootstrapIsIdempotentOnStartedCluster) {
