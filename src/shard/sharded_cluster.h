@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "raft/membership.h"
 #include "shard/router.h"
 #include "sim/event_loop.h"
 #include "sim/sim_cluster.h"

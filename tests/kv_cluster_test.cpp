@@ -171,8 +171,8 @@ TEST(KvClusterTest, ReadsNeverStaleAcrossFailover) {
 }
 
 TEST(KvClusterTest, LearnerAddedAfterConstructionAppliesTheLog) {
-  // The store of a host racked after KvCluster was built is created on its
-  // first applied entry (it used to be a null dereference).
+  // A host racked after KvCluster was built gets its store on its first
+  // applied entry.
   SimCluster cluster(paper_escape_cluster(3, 16));
   KvCluster kv(cluster);
   ASSERT_NE(sim::bootstrap(cluster), kNoServer);
