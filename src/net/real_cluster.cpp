@@ -24,9 +24,12 @@ RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
   if (boot.snapshot && boot.snapshot->last_included_index > 0) {
     boot_snapshot_ = std::make_shared<const raft::Snapshot>(*boot.snapshot);
   }
+  // One independent stream per member: callers often pass seed + id, which
+  // an xor-and-add mix can map two members onto one seed, and members with
+  // equal randomized timeouts split their votes in lockstep.
   node_ = std::make_unique<raft::RaftNode>(id_, members, policy(id_, members.size()),
-                                           Rng(options_.seed ^ (0xC0FFEEull + id_)),
-                                           options_.node, std::move(boot));
+                                           Rng::stream(options_.seed, id_), options_.node,
+                                           std::move(boot));
   driver_->attach(*node_);
   TransportOptions topts;
   topts.listen_fd = options_.listen_fd;
@@ -97,6 +100,10 @@ void RealNode::set_restore_hook(std::function<void(const raft::Snapshot&)> hook)
                                  const std::shared_ptr<const raft::Snapshot>& snapshot) {
     hook(*snapshot);
   };
+}
+
+void RealNode::set_soft_state_hook(std::function<void(const raft::SoftState&)> hook) {
+  driver_->hooks().soft_state = std::move(hook);
 }
 
 raft::NodeCounters RealNode::counters() const {

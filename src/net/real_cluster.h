@@ -7,9 +7,9 @@
 // after every input of that iteration — drains the Ready batches through a
 // plain raft::NodeDriver whose hooks act immediately: one group-commit WAL
 // sync per burst, sends queued on the loop's output rings (flushed at the
-// end of the same iteration), then restores, applies and read grants. The
-// core stays single-threaded and performs no I/O, exactly as in the
-// simulator, and no lock guards it.
+// end of the same iteration), then restores, applies, read grants and the
+// batch's SoftState report. The core stays single-threaded and performs no
+// I/O, exactly as in the simulator, and no lock guards it.
 //
 // Off-loop callers: role()/term()/leader_hint()/commit_index() read atomics
 // published after every input and before start() returns;
@@ -53,6 +53,8 @@ class RealNode {
     /// `<data_dir>/S<id>.wal` and `<data_dir>/S<id>.snap`; otherwise
     /// volatile in-memory stores are used.
     std::string data_dir;
+    /// Seeds the core's RNG (randomized election timeouts); each member
+    /// draws its own stream of it.
     std::uint64_t seed = 1;
     /// Pre-bound listening socket to adopt (port-0 path; see
     /// bind_loopback_listener). When < 0, the transport binds
@@ -103,6 +105,11 @@ class RealNode {
   /// application state machine from it before the next apply. Also fired
   /// from start() when the node boots from a stored snapshot.
   void set_restore_hook(std::function<void(const raft::Snapshot&)> hook);
+
+  /// Invoked with the core's SoftState at the end of each drained batch in
+  /// which role, leader, term or confClock changed — e.g. the batch in which
+  /// this node won an election. KvServer sends its leadership notice here.
+  void set_soft_state_hook(std::function<void(const raft::SoftState&)> hook);
 
   // Thread-safe snapshots of node state.
   Role role() const { return role_.load(); }

@@ -221,6 +221,9 @@ bool NodeDriver::pump_one() {
     for (const ReadGrant& grant : ready.read_grants) hooks_.read(grant);
   }
 
+  // 5. Soft state — observability, after every effect of the batch.
+  if (ready.soft_state && hooks_.soft_state) hooks_.soft_state(*ready.soft_state);
+
   if (hooks_.observe) hooks_.observe(ready);
   node_->advance(applied_);
   return true;

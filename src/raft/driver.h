@@ -11,6 +11,7 @@
 //   3. restore   superseding snapshot -> Hooks::restore
 //   4. apply     committed entries   -> Hooks::apply
 //   5. grant     read completions    -> Hooks::read
+//   6. report    changed role/leader/term -> Hooks::soft_state
 //
 // Persistence is one path: hard state saves, log ops coalesce into the WAL,
 // and one Wal::sync() per batch (group commit) makes them durable before any
@@ -87,6 +88,10 @@ class NodeDriver {
     std::function<void(const rpc::LogEntry&)> apply;
     /// Delivers one read grant/rejection (after this batch's applies).
     std::function<void(const ReadGrant&)> read;
+    /// Reports the batch's SoftState when role, leader, term or confClock
+    /// changed. net::RealNode uses it to tell KvServer the moment it leads;
+    /// SimCluster leaves it unset.
+    std::function<void(const SoftState&)> soft_state;
     /// Observes each fully executed batch just before advance() — the
     /// driver-conformance tests fingerprint the Ready stream through this.
     std::function<void(const Ready&)> observe;

@@ -23,10 +23,12 @@ KvServer::KvServer(ServerId id, std::map<ServerId, std::uint16_t> raft_endpoints
       loop_(
           [this] {
             net::EventLoop::Handler h;
+            h.on_open = [this](net::EventLoop::ConnId conn, bool) { clients_.insert(conn); };
             h.on_frames = [this](net::EventLoop::ConnId conn,
                                  std::vector<std::vector<std::uint8_t>>&& frames) {
               on_frames(conn, std::move(frames));
             };
+            h.on_close = [this](net::EventLoop::ConnId conn) { clients_.erase(conn); };
             return h;
           }(),
           client_loop_options(options)),
@@ -34,6 +36,7 @@ KvServer::KvServer(ServerId id, std::map<ServerId, std::uint16_t> raft_endpoints
   node_.set_apply_hook([this](const rpc::LogEntry& entry) { on_apply(entry); });
   node_.set_read_hook([this](const raft::ReadGrant& grant) { on_read(grant); });
   node_.set_restore_hook([this](const raft::Snapshot& snapshot) { on_restore(snapshot); });
+  node_.set_soft_state_hook([this](const raft::SoftState& soft) { on_soft_state(soft); });
 }
 
 KvServer::~KvServer() { stop(); }
@@ -58,29 +61,46 @@ void KvServer::respond(net::EventLoop::ConnId conn, const Response& response) {
   loop_.send(conn, rpc::frame_payload(encode_response(response)));
 }
 
+void KvServer::on_soft_state(const raft::SoftState& soft) {
+  // One notice per leadership: a leader's later reports (a new confClock)
+  // carry no news for clients.
+  if (soft.role != Role::kLeader || soft.term == noticed_term_) return;
+  noticed_term_ = soft.term;
+  Response notice;  // request_id 0: answers no request
+  notice.status = Status::kNotLeader;
+  notice.leader_hint = id_;
+  loop_.post([this, frame = rpc::frame_payload(encode_response(notice))] {
+    for (const auto conn : clients_) loop_.send(conn, frame);
+  });
+}
+
 void KvServer::on_frames(net::EventLoop::ConnId conn,
                          std::vector<std::vector<std::uint8_t>>&& frames) {
+  // Requests go to the node loop in chunks of at most kMaxBatch, posted as
+  // they are decoded: a chunk that finds the node loop idle is drained (and
+  // answered) before the rest of a large burst is handled, while chunks that
+  // queue up behind a busy node loop still share one drain and WAL sync.
   std::vector<Request> requests;
-  requests.reserve(frames.size());
-  bool corrupt = false;
-  for (const auto& payload : frames) {
-    auto request = decode_request(payload);
-    if (!request) {
-      corrupt = true;
-      break;
-    }
-    requests.push_back(std::move(*request));
-  }
-  // The requests decoded before a corrupt one are still submitted.
-  if (!requests.empty()) {
+  const auto hand_off = [&] {
+    if (requests.empty()) return;
     node_.post([this, conn, requests = std::move(requests)] {
       for (const auto& request : requests) handle_request(conn, request);
     });
+    requests.clear();
+  };
+  for (const auto& payload : frames) {
+    auto request = decode_request(payload);
+    if (!request) {
+      // The requests decoded before a corrupt one are still submitted.
+      hand_off();
+      LOG_WARN("kv server " << server_name(id_) << ": undecodable client request; closing");
+      loop_.close(conn);
+      return;
+    }
+    requests.push_back(std::move(*request));
+    if (requests.size() == kMaxBatch) hand_off();
   }
-  if (corrupt) {
-    LOG_WARN("kv server " << server_name(id_) << ": undecodable client request; closing");
-    loop_.close(conn);
-  }
+  hand_off();
 }
 
 void KvServer::handle_request(net::EventLoop::ConnId conn, const Request& request) {

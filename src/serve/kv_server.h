@@ -7,8 +7,11 @@
 // serving mode — bounded per-connection output with slow-client eviction —
 // so a client that stops reading its responses is cut loose instead of
 // pinning server memory. It decodes each readiness burst of requests and
-// posts them as one closure to the node's loop, so a burst's writes share
-// one drain and one WAL sync.
+// posts them to the node's loop in closures of at most kMaxBatch requests:
+// the closures the node loop finds queued together share one drain and one
+// WAL sync, and the first chunk of a large burst (a client resending
+// everything on a leadership notice) is answered without waiting for the
+// rest.
 //
 // Request handling (on the node's loop thread):
 //   * writes (Put/Del/Cas) submit to the node and park in a pending table
@@ -23,6 +26,13 @@
 //     has already been applied).
 //   * a non-leader answers kNotLeader with its leader hint.
 //
+// Leadership notices: the client loop keeps the set of open client
+// connections. When the node's SoftState first reports it leading in a new
+// term, the node loop posts one closure to the client loop that sends every
+// open connection a notice — a Response with request_id 0 and kNotLeader
+// naming this server — so clients retarget the moment a leader exists
+// instead of on their next retry.
+//
 // Submissions, hooks, the KvStore and the pending tables all live on the
 // node's loop thread, so none of them needs a lock: a commit cannot land
 // between a submit and its pending-table insert. Responses cross back
@@ -32,6 +42,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "kv/kv_store.h"
@@ -85,6 +96,9 @@ class KvServer {
     std::string key;
   };
 
+  /// Most requests one closure hands to the node loop (see on_frames).
+  static constexpr std::size_t kMaxBatch = 64;
+
   // Client loop thread.
   void on_frames(net::EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames);
   // Node loop thread.
@@ -92,16 +106,20 @@ class KvServer {
   void on_apply(const rpc::LogEntry& entry);
   void on_read(const raft::ReadGrant& grant);
   void on_restore(const raft::Snapshot& snapshot);
+  void on_soft_state(const raft::SoftState& soft);
   void respond(net::EventLoop::ConnId conn, const Response& response);
 
   const ServerId id_;
   net::RealNode node_;
   net::EventLoop loop_;
   Options options_;
+  // Client loop thread only.
+  std::set<net::EventLoop::ConnId> clients_;
   // Node loop thread only.
   kv::KvStore store_;
   std::map<LogIndex, PendingWrite> pending_writes_;
   std::map<raft::ReadId, PendingRead> pending_reads_;
+  Term noticed_term_ = 0;  ///< term of the last leadership notice sent
 };
 
 }  // namespace escape::serve

@@ -7,6 +7,11 @@
 // when known); kRetry tells the client to resubmit the same command —
 // session dedup (client_id, sequence) makes the retry exactly-once even when
 // the original actually committed.
+//
+// A request_id of 0 is never a client's: a Response carrying it answers no
+// request. It is a leadership notice, which a server sends every open client
+// connection the moment it becomes leader — kNotLeader with leader_hint
+// naming itself.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,7 @@ enum class Status : std::uint8_t {
 };
 
 struct Request {
-  std::uint64_t request_id = 0;
+  std::uint64_t request_id = 0;  ///< >= 1; 0 is reserved for leadership notices
   kv::Command command;
 
   bool operator==(const Request&) const = default;

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/serde.h"
+#include "storage/file_io.h"
 
 namespace escape::storage {
 namespace {
@@ -19,10 +20,6 @@ namespace {
 /// node falls back to its bootstrap member list).
 constexpr std::uint8_t kSnapshotVersionV1 = 1;
 constexpr std::uint8_t kSnapshotVersion = 2;
-
-void throw_errno(const std::string& op, const std::string& path) {
-  throw std::runtime_error(op + " failed for " + path + ": " + std::strerror(errno));
-}
 
 }  // namespace
 
@@ -91,6 +88,9 @@ void FileSnapshotStore::save(const Snapshot& snapshot) {
   }
   ::close(fd);
   if (::rename(tmp.c_str(), path_.c_str()) != 0) throw_errno("rename", tmp);
+  // The WAL drops the prefix this snapshot covers once save() returns; the
+  // rename must not be lost to power failure after that.
+  sync_parent_dir(path_);
 }
 
 std::optional<Snapshot> FileSnapshotStore::load() {

@@ -5,10 +5,16 @@
 // paper's Figure 5b depends on a recovering server restoring its (possibly
 // stale) priority and configuration clock.
 //
-// FileStateStore writes atomically (tmp file + fsync + rename) with a CRC so
-// a crash mid-write leaves the previous state intact.
+// FileStateStore writes in place, because every save lies on an election's
+// critical path (a candidate's, each voter's, a follower adopting π(P, k)):
+// the file holds two CRC-framed, sequence-numbered slots in separate 4 KiB
+// blocks, and each save overwrites the older slot with one pwrite and one
+// fdatasync. A save torn by a crash fails its CRC, and load() returns the
+// other slot — the previous state. The file is sized, and its directory
+// synced, once when it is created, so no save changes file metadata.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -54,17 +60,28 @@ class MemoryStateStore final : public StateStore {
   std::size_t save_count_ = 0;
 };
 
-/// Crash-safe file-backed store.
+/// Crash-safe file-backed store (two alternating slots, written in place).
 class FileStateStore final : public StateStore {
  public:
-  /// `path` is the state file; writes go to `path.tmp` then rename.
+  /// Opens the state file at `path`, creating and sizing it when absent. A
+  /// file in the earlier single-record format (one CRC-framed record,
+  /// replaced by tmp + rename) still loads; the first save leaves that
+  /// record intact until the new slot is durable.
   explicit FileStateStore(std::string path);
+  ~FileStateStore() override;
+
+  FileStateStore(const FileStateStore&) = delete;
+  FileStateStore& operator=(const FileStateStore&) = delete;
 
   void save(const PersistentState& state) override;
   std::optional<PersistentState> load() override;
 
  private:
   std::string path_;
+  int fd_ = -1;
+  /// Sequence of the newest valid slot (0: none). Save s + 1 goes to slot
+  /// (s + 1) % 2, so it never overwrites the newest state.
+  std::uint64_t sequence_ = 0;
 };
 
 }  // namespace escape::storage

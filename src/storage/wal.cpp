@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/serde.h"
+#include "storage/file_io.h"
 
 namespace escape::storage {
 namespace {
@@ -39,10 +40,6 @@ rpc::LogEntry decode_entry_payload(const std::vector<std::uint8_t>& p) {
   e.command = d.bytes();
   d.expect_end();
   return e;
-}
-
-void throw_errno(const std::string& op, const std::string& path) {
-  throw std::runtime_error(op + " failed for " + path + ": " + std::strerror(errno));
 }
 
 }  // namespace
@@ -79,6 +76,7 @@ FileWal::FileWal(std::string path) : path_(std::move(path)) {
   // Replay pass: read the whole file, apply records, stop at the first
   // corrupt/partial record and remember the valid byte length.
   std::vector<std::uint8_t> data;
+  bool created = false;
   {
     const int rfd = ::open(path_.c_str(), O_RDONLY);
     if (rfd >= 0) {
@@ -87,7 +85,9 @@ FileWal::FileWal(std::string path) : path_(std::move(path)) {
       while ((n = ::read(rfd, chunk, sizeof(chunk))) > 0) data.insert(data.end(), chunk, chunk + n);
       ::close(rfd);
       if (n < 0) throw_errno("read", path_);
-    } else if (errno != ENOENT) {
+    } else if (errno == ENOENT) {
+      created = true;
+    } else {
       throw_errno("open", path_);
     }
   }
@@ -156,6 +156,8 @@ FileWal::FileWal(std::string path) : path_(std::move(path)) {
 
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) throw_errno("open", path_);
+  // A synced record is only durable once the file's directory entry is.
+  if (created) sync_parent_dir(path_);
 }
 
 FileWal::~FileWal() {

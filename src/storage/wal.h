@@ -9,7 +9,7 @@
 //   * FileWal    — record-oriented file with CRC-protected records and
 //                  torn-write recovery: a partially written final record is
 //                  detected and discarded on open, everything before it is
-//                  replayed.
+//                  replayed. Creating the file fsyncs its directory.
 //
 // Compaction: compact_to(upto) records that every entry with index <= upto
 // is now covered by a snapshot (in the paired SnapshotStore) and need not be

@@ -7,7 +7,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <thread>
@@ -138,27 +140,48 @@ int connect_blocking(std::uint16_t port) {
   return fd;
 }
 
-/// Sends one Request and blocks for its Response (10 s cap).
-std::optional<Response> roundtrip(int fd, const Request& request) {
+/// Reads whole frames off one raw connection; frames that arrive together
+/// stay buffered for the next call.
+struct FrameSource {
+  int fd;
+  rpc::FrameReader reader;
+
+  /// Blocks for the next Response (nullopt on close or after `timeout`).
+  std::optional<Response> next(std::chrono::seconds timeout = 10s) {
+    timeval tv{static_cast<time_t>(timeout.count()), 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::vector<std::uint8_t> buf(16 * 1024);
+    while (true) {
+      if (auto payload = reader.next()) return decode_response(*payload);
+      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return std::nullopt;
+      reader.feed(buf.data(), static_cast<std::size_t>(n));
+    }
+  }
+};
+
+/// Sends one Request and blocks for its Response (10 s cap), skipping any
+/// leadership notice (request_id 0) that arrives first.
+std::optional<Response> roundtrip(FrameSource& source, const Request& request) {
   const auto frame = rpc::frame_payload(encode_request(request));
   std::size_t off = 0;
   while (off < frame.size()) {
-    const ssize_t n = ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+    const ssize_t n = ::send(source.fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return std::nullopt;
     off += static_cast<std::size_t>(n);
   }
-  timeval tv{10, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  rpc::FrameReader reader;
-  std::vector<std::uint8_t> buf(16 * 1024);
-  while (true) {
-    if (auto payload = reader.next()) return decode_response(*payload);
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    reader.feed(buf.data(), static_cast<std::size_t>(n));
+  while (auto response = source.next()) {
+    if (response->request_id != 0) return response;
   }
+  return std::nullopt;
+}
+
+/// Threads of this process.
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
 }
 
 // --- tests -------------------------------------------------------------------
@@ -207,10 +230,11 @@ TEST(KvServerTest, FollowerAnswersNotLeaderWithHint) {
 
   // The hint converges once the follower has heard a heartbeat; retry briefly.
   const int fd = connect_blocking(cluster.client_ports[follower]);
+  FrameSource source{fd, {}};
   Response last;
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (std::chrono::steady_clock::now() < deadline) {
-    const auto response = roundtrip(fd, request);
+    const auto response = roundtrip(source, request);
     ASSERT_TRUE(response.has_value()) << "follower closed the connection";
     last = *response;
     ASSERT_EQ(last.status, Status::kNotLeader);
@@ -229,13 +253,14 @@ TEST(KvServerTest, SessionDedupMakesRetriesExactlyOnce) {
   ASSERT_NE(leader, kNoServer);
 
   const int fd = connect_blocking(cluster.client_ports[leader]);
+  FrameSource source{fd, {}};
 
   Request first;
   first.request_id = 1;
   first.command = put("dedup", "original");
   first.command.client_id = 700;
   first.command.sequence = 5;
-  const auto r1 = roundtrip(fd, first);
+  const auto r1 = roundtrip(source, first);
   ASSERT_TRUE(r1.has_value());
   ASSERT_EQ(r1->status, Status::kOk);
 
@@ -245,14 +270,14 @@ TEST(KvServerTest, SessionDedupMakesRetriesExactlyOnce) {
   Request retry = first;
   retry.request_id = 2;
   retry.command.value = "replayed-must-not-apply";
-  const auto r2 = roundtrip(fd, retry);
+  const auto r2 = roundtrip(source, retry);
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r2->status, Status::kOk);
 
   Request check;
   check.request_id = 3;
   check.command = get("dedup");
-  const auto r3 = roundtrip(fd, check);
+  const auto r3 = roundtrip(source, check);
   ASSERT_TRUE(r3.has_value());
   ASSERT_EQ(r3->status, Status::kOk);
   EXPECT_TRUE(r3->result.ok);
@@ -300,6 +325,103 @@ TEST(KvServerTest, LeaderKillResolvesEveryPendingWrite) {
   EXPECT_TRUE(get_result.ok);
   EXPECT_EQ(get_result.value, "yes");
 
+  client.stop();
+}
+
+TEST(KvServerTest, NewLeaderNotifiesEveryClientConnection) {
+  ServingCluster cluster;
+  const ServerId leader = cluster.wait_for_leader();
+  ASSERT_NE(leader, kNoServer);
+
+  // Two raw connections to every server; the election after the kill takes
+  // hundreds of milliseconds, so each is accepted long before it ends.
+  std::map<ServerId, std::vector<FrameSource>> sources;
+  for (const auto& [id, port] : cluster.client_ports) {
+    for (int i = 0; i < 2; ++i) sources[id].push_back(FrameSource{connect_blocking(port), {}});
+  }
+  ASSERT_EQ(cluster.kill_leader(), leader);
+  const ServerId winner = cluster.wait_for_leader();
+  ASSERT_NE(winner, kNoServer);
+  ASSERT_NE(winner, leader);
+
+  for (auto& source : sources[winner]) {
+    const auto notice = source.next(5s);
+    ASSERT_TRUE(notice.has_value()) << "no leadership notice from the winner";
+    EXPECT_EQ(notice->request_id, 0u);
+    EXPECT_EQ(notice->status, Status::kNotLeader);
+    EXPECT_EQ(notice->leader_hint, winner);
+  }
+  for (auto& [id, list] : sources) {
+    for (auto& source : list) ::close(source.fd);
+  }
+}
+
+TEST(KvServerTest, ClientResumesOnTheNoticeNotTheBackoff) {
+  ServingCluster cluster;
+  ASSERT_NE(cluster.wait_for_leader(), kNoServer);
+
+  KvClient::Options options;
+  options.retry_backoff = from_ms(2000);
+  options.timeout = from_ms(10'000);
+  KvClient client(cluster.client_ports, 30'000, options);
+  client.start();
+  ASSERT_EQ(sync_op(client, put("before", "1")).first, Status::kOk);
+
+  // A write submitted as the leader dies waits out the election; the
+  // winner's notice, not the 2 s backoff, must send it on.
+  cluster.kill_leader();
+  using Outcome = std::pair<Status, std::chrono::steady_clock::time_point>;
+  auto outcome = std::make_shared<std::promise<Outcome>>();
+  auto future = outcome->get_future();
+  client.submit(put("during", "2"), [outcome](Status s, const kv::CommandResult&) {
+    outcome->set_value({s, std::chrono::steady_clock::now()});
+  });
+  ASSERT_NE(cluster.wait_for_leader(), kNoServer);
+  const auto leader_seen = std::chrono::steady_clock::now();
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+  const auto [status, done] = future.get();
+  EXPECT_EQ(status, Status::kOk);
+  EXPECT_LT(done - leader_seen, 1000ms) << "the write waited for the backoff";
+  client.stop();
+}
+
+TEST(KvServerTest, HintToAConnectedServerIsFollowedAtOnce) {
+  ServingCluster cluster;
+  const ServerId leader = cluster.wait_for_leader();
+  ASSERT_NE(leader, kNoServer);
+  // KvClient targets the lowest id first, and ESCAPE's initial priorities
+  // (priority = id) elect the highest, so the first write meets a follower.
+  ASSERT_NE(leader, cluster.client_ports.begin()->first);
+
+  KvClient::Options options;
+  options.retry_backoff = from_ms(2000);
+  KvClient client(cluster.client_ports, 40'000, options);
+  client.start();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(sync_op(client, put("hinted", "1")).first, Status::kOk);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2000ms) << "the hint waited for the backoff";
+  client.stop();
+}
+
+TEST(KvServerTest, DeadlineFiresOnTheClientLoopTimer) {
+  ServingCluster cluster;
+  ASSERT_NE(cluster.wait_for_leader(), kNoServer);
+  // One server of three: no write can commit.
+  cluster.servers[0]->stop();
+  cluster.servers[1]->stop();
+
+  KvClient::Options options;
+  options.timeout = from_ms(300);
+  KvClient client(cluster.client_ports, 50'000, options);
+  const std::size_t threads = thread_count();
+  client.start();
+  EXPECT_EQ(thread_count(), threads + 1) << "KvClient runs one thread: its loop";
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(sync_op(client, put("orphan", "x")).first, Status::kTimeout);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, 300ms);
+  EXPECT_LT(elapsed, 400ms);
   client.stop();
 }
 

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
+
+#include "common/serde.h"
 
 namespace escape::storage {
 namespace {
@@ -56,6 +60,24 @@ class FileStateStoreTest : public ::testing::Test {
   std::string path(const std::string& name) const { return (dir_ / name).string(); }
   std::filesystem::path dir_;
 };
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+}
+
+PersistentState newer_state() {
+  auto s = sample_state();
+  s.current_term = 18;
+  s.voted_for = 2;
+  s.config.conf_clock = 45;
+  return s;
+}
 
 TEST_F(FileStateStoreTest, MissingFileLoadsEmpty) {
   FileStateStore store(path("state"));
@@ -117,6 +139,89 @@ TEST_F(FileStateStoreTest, RepeatedSavesKeepLatest) {
     store.save(s);
   }
   EXPECT_EQ(store.load()->current_term, 20);
+}
+
+TEST_F(FileStateStoreTest, TornNewerSlotLoadsTheOlderState) {
+  FileStateStore store(path("state"));
+  store.save(sample_state());
+  const auto before = read_bytes(path("state"));
+  store.save(newer_state());
+  auto after = read_bytes(path("state"));
+  ASSERT_EQ(before.size(), after.size()) << "saves write in place";
+
+  // Tear the newer save: only the first half of the bytes it changed
+  // reached the disk.
+  std::size_t first = after.size();
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    if (after[i] != before[i]) {
+      first = std::min(first, i);
+      last = i;
+    }
+  }
+  ASSERT_LT(first, after.size());
+  for (std::size_t i = first + (last - first + 1) / 2; i <= last; ++i) after[i] = before[i];
+  write_bytes(path("state"), after);
+
+  ASSERT_TRUE(store.load().has_value());
+  EXPECT_EQ(*store.load(), sample_state());
+  FileStateStore reopened(path("state"));
+  EXPECT_EQ(*reopened.load(), sample_state());
+}
+
+TEST_F(FileStateStoreTest, BothSlotsCorruptLoadsNothing) {
+  FileStateStore store(path("state"));
+  store.save(sample_state());
+  store.save(newer_state());
+  auto bytes = read_bytes(path("state"));
+  ASSERT_EQ(bytes.size(), 8192u) << "two 4 KiB slots";
+  // A payload byte of each slot (past its [crc u32][len u32] header).
+  bytes[8] ^= 0x40;
+  bytes[4096 + 8] ^= 0x40;
+  write_bytes(path("state"), bytes);
+  EXPECT_FALSE(store.load().has_value());
+}
+
+TEST_F(FileStateStoreTest, SingleRecordFileStillLoads) {
+  // The earlier format: the whole file is one [crc u32][len u32][state]
+  // record, replaced by tmp + fsync + rename.
+  const auto legacy = sample_state();
+  Encoder body;
+  body.i64(legacy.current_term);
+  body.u32(legacy.voted_for);
+  body.i64(legacy.config.timer_period);
+  body.i32(legacy.config.priority);
+  body.i64(legacy.config.conf_clock);
+  const auto payload = body.take();
+  Encoder framed;
+  framed.u32(crc32(payload));
+  framed.bytes(payload);
+  write_bytes(path("state"), framed.take());
+
+  FileStateStore store(path("state"));
+  ASSERT_TRUE(store.load().has_value());
+  EXPECT_EQ(*store.load(), legacy);
+  store.save(newer_state());
+  FileStateStore reopened(path("state"));
+  EXPECT_EQ(*reopened.load(), newer_state());
+}
+
+TEST_F(FileStateStoreTest, LastOfAThousandAlternatingSavesReloads) {
+  {
+    FileStateStore store(path("state"));
+    for (Term t = 1; t <= 1000; ++t) {
+      auto s = sample_state();
+      s.current_term = t;
+      s.voted_for = static_cast<ServerId>(t % 3 + 1);
+      store.save(s);
+    }
+  }
+  EXPECT_EQ(std::filesystem::file_size(path("state")), 8192u);
+  FileStateStore reopened(path("state"));
+  const auto loaded = reopened.load();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->current_term, 1000);
+  EXPECT_EQ(loaded->voted_for, 1000 % 3 + 1u);
 }
 
 }  // namespace
