@@ -39,6 +39,20 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// Reads (and clears) the socket's pending error; 0 when there is none.
+int socket_error(int fd) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+  return err;
+}
+
+/// Why a connection that failed with `err` ended. TCP reports ECONNREFUSED
+/// only for a reset answering a SYN — a connect that nothing listened for.
+EventLoop::CloseCause cause_of(int err) {
+  return err == ECONNREFUSED ? EventLoop::CloseCause::kRefused : EventLoop::CloseCause::kPeer;
+}
+
 /// Parses every complete frame off `in` (same wire format as
 /// rpc::FrameReader, parsed in place on the ring). Returns false on a
 /// magic/version/length/CRC violation — the stream is no longer trustworthy.
@@ -72,10 +86,12 @@ namespace testhooks {
 RecvFn recv_fn = &::recv;
 SendFn send_fn = &::send;
 AcceptFn accept_fn = &::accept;
+ConnectFn connect_fn = &::connect;
 void reset() {
   recv_fn = &::recv;
   send_fn = &::send;
   accept_fn = &::accept;
+  connect_fn = &::connect;
 }
 }  // namespace testhooks
 
@@ -225,14 +241,17 @@ void EventLoop::stop() {
     if (thread_.joinable()) thread_.join();
   }
   std::lock_guard lock(mu_);
+  // The listener first: a peer that sees one of the connections below end
+  // and dials back is refused, rather than parked in a backlog that is
+  // about to be reset.
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
   for (auto& [id, conn] : conns_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   conns_.clear();
   flush_queue_.clear();
   posted_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
   if (wake_fd_ >= 0) ::close(wake_fd_);
   wake_fd_ = -1;
   if (timer_fd_ >= 0) ::close(timer_fd_);
@@ -246,7 +265,7 @@ void EventLoop::wake() {
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
+EventLoop::ConnId EventLoop::connect(std::uint16_t port, bool* refused) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
   set_nonblocking(fd);
@@ -256,8 +275,13 @@ EventLoop::ConnId EventLoop::connect(std::uint16_t port) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
+  const int rc = testhooks::connect_fn(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  int err = rc == 0 || errno == EINPROGRESS ? 0 : errno;
+  // Even a nonblocking loopback connect() has usually heard the peer's
+  // answer by the time it returns EINPROGRESS.
+  if (err == 0 && refused) err = socket_error(fd);
+  if (err != 0) {
+    if (refused) *refused = err == ECONNREFUSED;
     ::close(fd);
     return 0;
   }
@@ -455,7 +479,7 @@ void EventLoop::read_ready(Conn* conn) {
       // landed mid-syscall: the connection is healthy, retry immediately.
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      teardown(conn, true);
+      teardown(conn, cause_of(errno));
       return;
     }
   }
@@ -463,14 +487,14 @@ void EventLoop::read_ready(Conn* conn) {
   if (!parse_frames(conn->in, frames)) {
     stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
     LOG_WARN("event loop: closing connection " << conn->id << " after frame decode error");
-    teardown(conn, true);
+    teardown(conn, CloseCause::kLocal);
     return;
   }
   if (!frames.empty()) {
     stats_.frames_in.fetch_add(frames.size(), std::memory_order_relaxed);
     if (handler_.on_frames) handler_.on_frames(conn->id, std::move(frames));
   }
-  if (peer_closed) teardown(conn, true);
+  if (peer_closed) teardown(conn, CloseCause::kPeer);
 }
 
 void EventLoop::flush_conn(Conn* conn) {
@@ -494,8 +518,9 @@ void EventLoop::flush_conn(Conn* conn) {
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;  // kernel buffer full; EPOLLET delivers an edge when it drains
     } else {
+      const int err = errno;
       lock.unlock();
-      teardown(conn, true);
+      teardown(conn, cause_of(err));
       return;
     }
   }
@@ -515,14 +540,14 @@ void EventLoop::flush_pending() {
     }
     if (!conn) continue;
     if (conn->doomed.load(std::memory_order_relaxed)) {
-      teardown(conn, true);
+      teardown(conn, CloseCause::kLocal);
       continue;
     }
     flush_conn(conn);
   }
 }
 
-void EventLoop::teardown(Conn* conn, bool deliver_close) {
+void EventLoop::teardown(Conn* conn, CloseCause cause) {
   std::unique_ptr<Conn> owned;
   {
     std::lock_guard lock(mu_);
@@ -534,7 +559,11 @@ void EventLoop::teardown(Conn* conn, bool deliver_close) {
   ::close(owned->fd);
   owned->fd = -1;
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
-  if (deliver_close && handler_.on_close) handler_.on_close(owned->id);
+  if (handler_.on_close_cause) {
+    handler_.on_close_cause(owned->id, cause);
+  } else if (handler_.on_close) {
+    handler_.on_close(owned->id);
+  }
 }
 
 void EventLoop::run() {
@@ -579,16 +608,14 @@ void EventLoop::run() {
       }
       if (!conn) continue;  // torn down earlier this iteration
       if (ev & EPOLLERR) {
-        teardown(conn, true);
+        teardown(conn, cause_of(socket_error(conn->fd)));
         continue;
       }
       if (ev & EPOLLOUT) {
         if (conn->connecting.exchange(false, std::memory_order_relaxed)) {
-          int err = 0;
-          socklen_t len = sizeof(err);
-          ::getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len);
+          const int err = socket_error(conn->fd);
           if (err != 0) {
-            teardown(conn, true);
+            teardown(conn, cause_of(err));
             continue;
           }
           if (handler_.on_open) handler_.on_open(conn->id, false);

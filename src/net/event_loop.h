@@ -32,6 +32,11 @@
 //     in stats().evicted_slow) or rejects the frame (transport mode:
 //     consensus tolerates dropped messages by design).
 //
+// A handler that sets on_close_cause learns why each connection ended: this
+// side closed it, the far side did, or an outbound connect was refused
+// (ECONNREFUSED: nothing listens on that port). TcpTransport builds its
+// leader-loss signal on the refusal; see tcp_transport.h.
+//
 // Syscalls go through net::testhooks (shared with TcpTransport) so tests
 // inject EINTR and short transfers deterministically.
 #pragma once
@@ -58,15 +63,17 @@ namespace escape::net {
 /// net tests swap them (before start(), restoring afterwards) to inject
 /// EINTR returns and short transfers deterministically — conditions the
 /// kernel produces rarely enough that a test relying on real signal timing
-/// would be flaky. Not for use outside tests.
+/// would be flaky — and to count dials. Not for use outside tests.
 namespace testhooks {
 using RecvFn = ssize_t (*)(int fd, void* buf, std::size_t len, int flags);
 using SendFn = ssize_t (*)(int fd, const void* buf, std::size_t len, int flags);
 using AcceptFn = int (*)(int fd, sockaddr* addr, socklen_t* addrlen);
+using ConnectFn = int (*)(int fd, const sockaddr* addr, socklen_t addrlen);
 extern RecvFn recv_fn;
 extern SendFn send_fn;
 extern AcceptFn accept_fn;
-/// Restores all three hooks to the real syscalls.
+extern ConnectFn connect_fn;
+/// Restores every hook to the real syscall.
 void reset();
 }  // namespace testhooks
 
@@ -149,6 +156,13 @@ class EventLoop {
     kClosed = 2,    ///< no such connection
   };
 
+  /// Why a connection ended (Handler::on_close_cause).
+  enum class CloseCause : std::uint8_t {
+    kLocal = 0,    ///< this side: close(), a slow-client eviction, a frame decode error
+    kPeer = 1,     ///< the far side or the network: EOF, a reset, a socket error
+    kRefused = 2,  ///< an outbound connect was refused (ECONNREFUSED)
+  };
+
   struct Options {
     /// When > 0, sets SO_SNDBUF / SO_RCVBUF on every socket (tests use tiny
     /// buffers to force partial transfers); 0 keeps the kernel defaults.
@@ -178,6 +192,9 @@ class EventLoop {
     /// Connection closed (peer hangup, error, eviction, or close()). Not
     /// invoked for connections torn down by stop().
     std::function<void(ConnId)> on_close;
+    /// When set, invoked instead of on_close, with the reason the
+    /// connection ended.
+    std::function<void(ConnId, CloseCause)> on_close_cause;
   };
 
   EventLoop(Handler handler, Options options);
@@ -198,15 +215,21 @@ class EventLoop {
   /// Launches the loop thread.
   void start();
 
-  /// Stops the loop thread and closes every socket. Idempotent. on_close is
-  /// not invoked for the teardown.
+  /// Stops the loop thread, then closes the listener, then every other
+  /// socket. Idempotent. on_close is not invoked for the teardown. The
+  /// thread is joined before the listener closes, so a dial that this
+  /// loop's port refuses proves no callback of this loop runs again.
   void stop();
 
   /// Opens a nonblocking outbound connection to 127.0.0.1:`port`.
   /// Thread-safe; usable before or after start(). Returns 0 on immediate
   /// failure (socket exhaustion). The connection is usable for send() at
-  /// once — frames queue until the connect completes.
-  ConnId connect(std::uint16_t port);
+  /// once — frames queue until the connect completes. When `refused` is
+  /// non-null, a refusal the kernel has already delivered — loopback
+  /// answers a dial to a closed port before connect() returns — fails the
+  /// call too: it returns 0 and sets *refused. Otherwise a refusal ends the
+  /// connection later, through on_close_cause (kRefused) or on_close.
+  ConnId connect(std::uint16_t port, bool* refused = nullptr);
 
   /// Queues one framed buffer on `conn`'s output ring and wakes the loop.
   /// Thread-safe, never blocks. See Options for the overflow policy.
@@ -265,7 +288,7 @@ class EventLoop {
   void read_ready(Conn* conn);
   void flush_conn(Conn* conn);
   void flush_pending();
-  void teardown(Conn* conn, bool deliver_close);
+  void teardown(Conn* conn, CloseCause cause);
   Conn* find_locked(ConnId id);
   void wake();
   void apply_socket_options(int fd) const;

@@ -40,6 +40,12 @@ RealNode::RealNode(ServerId id, std::map<ServerId, std::uint16_t> endpoints,
     for (const auto& env : batch) node_->step(env, clock_.now());
     request_drain();
   });
+  // A refused probe proves the peer's process is gone; the core acts on it
+  // only when that peer is the leader it follows.
+  transport_->set_peer_down([this](ServerId peer) {
+    node_->peer_down(peer, clock_.now());
+    request_drain();
+  });
   transport_->loop().set_timer([this] { on_timer(); });
   // Sends queue on the loop's output rings, after the batch's WAL sync, and
   // leave in this iteration's flush.
@@ -65,11 +71,18 @@ void RealNode::start() {
   transport_->start();
 }
 
-void RealNode::stop() { transport_->stop(); }
+void RealNode::stop() {
+  // Marked on the loop thread, so no submission the loop runs after this
+  // reaches the core; post_and_wait runs later ones inline, and they see
+  // the mark too.
+  transport_->loop().post_and_wait([this] { stopped_ = true; });
+  transport_->stop();
+}
 
 std::optional<LogIndex> RealNode::submit(std::vector<std::uint8_t> command) {
   std::optional<LogIndex> index;
   transport_->loop().post_and_wait([&] {
+    if (stopped_) return;
     index = node_->submit(std::move(command), clock_.now());
     request_drain();
   });
@@ -79,6 +92,7 @@ std::optional<LogIndex> RealNode::submit(std::vector<std::uint8_t> command) {
 std::optional<raft::ReadId> RealNode::submit_read() {
   std::optional<raft::ReadId> read;
   transport_->loop().post_and_wait([&] {
+    if (stopped_) return;
     read = node_->submit_read(clock_.now());
     request_drain();
   });

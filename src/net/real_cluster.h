@@ -15,7 +15,15 @@
 // published after every input and before start() returns;
 // submit()/submit_read()/counters() run on the loop thread via
 // EventLoop::post_and_wait (directly when already there, or when the loop is
-// not running).
+// not running). A stopped node refuses submissions: it holds no leadership
+// anyone else will honour.
+//
+// Leader loss: the transport reports a peer whose probe was refused
+// (TcpTransport::set_peer_down), and the node passes it to the core as
+// RaftNode::peer_down. When that peer is the leader, a follower skips the
+// detection wait: ESCAPE's top priority campaigns at once and the rest keep
+// their Eq. 1 gaps. A leader that dies without closing its sockets (host
+// loss, a partition, a hung loop) is still found by the election timer.
 //
 // This is the deployment path a downstream user runs on a real cluster. The
 // paper figures use the simulator (determinism and virtual time); the
@@ -75,17 +83,20 @@ class RealNode {
   /// launches its loop thread.
   void start();
 
-  /// Stops the loop thread and transport. Idempotent.
+  /// Marks the node stopped, then stops the loop thread and transport.
+  /// Idempotent.
   void stop();
 
-  /// Command submission (leader only; nullopt otherwise). Thread-safe.
+  /// Command submission (leader only, not stopped; nullopt otherwise).
+  /// Thread-safe.
   std::optional<LogIndex> submit(std::vector<std::uint8_t> command);
 
-  /// Linearizable-read submission (leader only; nullopt otherwise —
-  /// redirect via leader_hint()). Thread-safe. The completion arrives on the
-  /// loop thread through the read hook, after every committed entry up to
-  /// the grant's read index was handed to the apply hook; an `ok` grant
-  /// therefore licenses serving the read from the local state machine.
+  /// Linearizable-read submission (leader only, not stopped; nullopt
+  /// otherwise — redirect via leader_hint()). Thread-safe. The completion
+  /// arrives on the loop thread through the read hook, after every
+  /// committed entry up to the grant's read index was handed to the apply
+  /// hook; an `ok` grant therefore licenses serving the read from the local
+  /// state machine.
   std::optional<raft::ReadId> submit_read();
 
   /// Runs `fn` on the loop thread, where the hooks run and submit()/
@@ -141,6 +152,7 @@ class RealNode {
   std::shared_ptr<const raft::Snapshot> boot_snapshot_;  ///< replayed in start()
 
   bool drain_posted_ = false;
+  bool stopped_ = false;               ///< stop() began; submissions refused
   TimePoint timer_deadline_ = kNever;  ///< deadline the loop timer is armed for
 
   // Published by request_drain() for off-loop readers.

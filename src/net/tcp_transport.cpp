@@ -39,7 +39,9 @@ TcpTransport::TcpTransport(ServerId self, std::map<ServerId, std::uint16_t> endp
                              std::vector<std::vector<std::uint8_t>>&& frames) {
     on_frames(conn, std::move(frames));
   };
-  handler.on_close = [this](EventLoop::ConnId conn) { on_conn_closed(conn); };
+  handler.on_close_cause = [this](EventLoop::ConnId conn, EventLoop::CloseCause cause) {
+    on_conn_closed(conn, cause);
+  };
   loop_ = std::make_unique<EventLoop>(std::move(handler), loop_options);
 }
 
@@ -48,6 +50,8 @@ TcpTransport::~TcpTransport() { stop(); }
 void TcpTransport::set_deliver_batch(DeliverBatchFn deliver_batch) {
   deliver_batch_ = std::move(deliver_batch);
 }
+
+void TcpTransport::set_peer_down(PeerDownFn peer_down) { peer_down_ = std::move(peer_down); }
 
 void TcpTransport::start() {
   BoundListener listener{options_.listen_fd, endpoints_.at(self_)};
@@ -61,6 +65,7 @@ void TcpTransport::stop() {
   std::lock_guard lock(mu_);
   peer_conn_.clear();
   conn_peer_.clear();
+  probes_.clear();
 }
 
 std::uint16_t TcpTransport::port() const { return loop_->port(); }
@@ -68,15 +73,32 @@ std::uint16_t TcpTransport::port() const { return loop_->port(); }
 EventLoop::ConnId TcpTransport::outgoing_locked(ServerId peer) {
   const auto existing = peer_conn_.find(peer);
   if (existing != peer_conn_.end()) return existing->second;
+  return dial_locked(peer);
+}
+
+EventLoop::ConnId TcpTransport::dial_locked(ServerId peer, bool* refused) {
   const auto endpoint = endpoints_.find(peer);
   if (endpoint == endpoints_.end()) return 0;
-  const EventLoop::ConnId conn = loop_->connect(endpoint->second);
+  const EventLoop::ConnId conn = loop_->connect(endpoint->second, refused);
   if (conn == 0) return 0;
+  // An earlier outgoing link that is still open stays attributed to `peer`
+  // until it closes, but sends move to this one.
   peer_conn_[peer] = conn;
   conn_peer_[conn] = peer;
   stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
   loop_->send(conn, hello_frame(self_));
   return conn;
+}
+
+bool TcpTransport::probe_locked(ServerId peer, int round) {
+  probes_.erase(peer);
+  if (round >= kMaxProbeRounds || peer == self_) return false;
+  bool refused = false;
+  const EventLoop::ConnId conn = dial_locked(peer, &refused);
+  // A refused probe stays as a marker: the peer is reported down, and its
+  // other links closing dial nothing more until it speaks again.
+  if (conn != 0 || refused) probes_[peer] = Probe{conn, round};
+  return refused;
 }
 
 void TcpTransport::send(const rpc::Envelope& envelope) {
@@ -105,7 +127,10 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
   {
     std::lock_guard lock(mu_);
     const auto it = conn_peer_.find(conn);
-    if (it != conn_peer_.end()) peer = it->second;
+    if (it != conn_peer_.end()) {
+      peer = it->second;
+      probes_.erase(peer);  // the peer spoke after the dial: its refusal proves nothing
+    }
   }
   std::vector<rpc::Envelope> batch;
   batch.reserve(frames.size());
@@ -119,6 +144,7 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
       d.expect_end();
       std::lock_guard lock(mu_);
       conn_peer_[conn] = peer;
+      probes_.erase(peer);
       i = 1;
     }
     for (; i < frames.size(); ++i) {
@@ -146,15 +172,36 @@ void TcpTransport::on_frames(EventLoop::ConnId conn,
   if (corrupt) loop_->close(conn);
 }
 
-void TcpTransport::on_conn_closed(EventLoop::ConnId conn) {
-  std::lock_guard lock(mu_);
-  const auto it = conn_peer_.find(conn);
-  if (it == conn_peer_.end()) return;
-  const auto out = peer_conn_.find(it->second);
-  // Only forget the outgoing link when it is this connection — an inbound
-  // connection from the same peer closing must not sever our own link.
-  if (out != peer_conn_.end() && out->second == conn) peer_conn_.erase(out);
-  conn_peer_.erase(it);
+void TcpTransport::on_conn_closed(EventLoop::ConnId conn, EventLoop::CloseCause cause) {
+  ServerId peer = kNoServer;
+  bool down = false;
+  {
+    std::lock_guard lock(mu_);
+    const auto it = conn_peer_.find(conn);
+    if (it == conn_peer_.end()) return;
+    peer = it->second;
+    const auto out = peer_conn_.find(peer);
+    // Only forget the outgoing link when it is this connection — an inbound
+    // connection from the same peer closing must not sever our own link.
+    if (out != peer_conn_.end() && out->second == conn) peer_conn_.erase(out);
+    conn_peer_.erase(it);
+    if (!peer_down_) return;
+    const auto probe = probes_.find(peer);
+    const bool was_probe = probe != probes_.end() && probe->second.conn == conn;
+    if (cause == EventLoop::CloseCause::kPeer) {
+      // One probe at a time per peer; a probe the peer reset starts the next
+      // round of its chain.
+      if (probe == probes_.end() || was_probe) {
+        down = probe_locked(peer, was_probe ? probe->second.round + 1 : 0);
+      }
+    } else if (cause == EventLoop::CloseCause::kRefused && was_probe) {
+      down = true;
+      probe->second.conn = 0;  // the marker, as for a refusal at dial time
+    } else if (was_probe) {
+      probes_.erase(probe);
+    }
+  }
+  if (down) peer_down_(peer);
 }
 
 }  // namespace escape::net

@@ -16,6 +16,21 @@
 // (see loop()): it steps frames in the deliver callback and drains once per
 // loop iteration.
 //
+// Leader-loss signal (set_peer_down): when a link to or from peer X is
+// closed from X's side, the transport dials X once — the probe, which
+// becomes its outgoing link to X. A probe the kernel refuses is reported as
+// proof that X's process is gone: the transport is loopback-only, so the
+// local kernel itself says nothing listens on X's port, and EventLoop::stop
+// closes a listener only after its loop thread has exited. A probe that
+// connects is a live link and reports nothing; one that is then reset (it
+// landed in a listener that was closing) probes again, a few rounds at
+// most. A frame from X arriving after the dial cancels the probe's report.
+// X is reported once: its other links closing dial nothing more until X
+// speaks again. Nothing else is reported: a refused ordinary send, a link
+// this side closed (decode error), or a peer that stops answering without
+// closing (host loss, partition, a hung loop) — those keep the election
+// timer.
+//
 // The net::testhooks syscall seams live in event_loop.h (shared with the
 // serving layer).
 #pragma once
@@ -58,6 +73,7 @@ class TcpTransport {
  public:
   using DeliverFn = std::function<void(const rpc::Envelope&)>;
   using DeliverBatchFn = std::function<void(std::vector<rpc::Envelope>&&)>;
+  using PeerDownFn = std::function<void(ServerId peer)>;
 
   /// `endpoints` maps every cluster member (including `self`) to a TCP port
   /// on 127.0.0.1. The transport binds self's port in start() (unless
@@ -74,6 +90,11 @@ class TcpTransport {
   /// parsed from one readiness edge arrive in a single call, in order.
   /// Call before start().
   void set_deliver_batch(DeliverBatchFn deliver_batch);
+
+  /// Installs the leader-loss signal (see the file comment): `peer_down`
+  /// runs on the loop thread with the id of a peer whose probe was refused.
+  /// Call before start(). Without it the transport never probes.
+  void set_peer_down(PeerDownFn peer_down);
 
   /// Binds (or adopts), listens and launches the event-loop thread. Throws
   /// std::runtime_error on bind failure.
@@ -102,21 +123,39 @@ class TcpTransport {
   ServerId self() const { return self_; }
 
  private:
+  /// A dial that reports `peer` down if the kernel refuses it.
+  struct Probe {
+    EventLoop::ConnId conn = 0;  ///< 0: refused and reported
+    int round = 0;               ///< earlier probes in this chain, each reset by the peer
+  };
+  /// Probes per chain: enough for a listener caught mid-close, and a bound
+  /// on dials against one that accepts and resets every connection.
+  static constexpr int kMaxProbeRounds = 4;
+
   void on_frames(EventLoop::ConnId conn, std::vector<std::vector<std::uint8_t>>&& frames);
-  void on_conn_closed(EventLoop::ConnId conn);
+  void on_conn_closed(EventLoop::ConnId conn, EventLoop::CloseCause cause);
   EventLoop::ConnId outgoing_locked(ServerId peer);  // mu_ held
+  /// Dials `peer` as its new outgoing link (mu_ held). Returns 0 when the
+  /// dial failed at once; `refused`, when given, says whether it was a
+  /// refusal.
+  EventLoop::ConnId dial_locked(ServerId peer, bool* refused = nullptr);
+  /// Starts probe round `round` against `peer` (mu_ held). Returns true
+  /// when the kernel refused it at once: `peer` is down.
+  bool probe_locked(ServerId peer, int round);
 
   const ServerId self_;
   const std::map<ServerId, std::uint16_t> endpoints_;
   DeliverFn deliver_;
   DeliverBatchFn deliver_batch_;
+  PeerDownFn peer_down_;
   const TransportOptions options_;
 
   std::unique_ptr<EventLoop> loop_;
 
-  std::mutex mu_;  // guards peer_conn_, conn_peer_
+  std::mutex mu_;  // guards peer_conn_, conn_peer_, probes_
   std::map<ServerId, EventLoop::ConnId> peer_conn_;  ///< outgoing connection per peer
   std::map<EventLoop::ConnId, ServerId> conn_peer_;  ///< known (outgoing) or learned (hello)
+  std::map<ServerId, Probe> probes_;                 ///< per peer, until it next speaks
 
   TransportStats stats_;
 };

@@ -339,6 +339,29 @@ void RaftNode::tick(TimePoint now) {
   sync_soft_state();
 }
 
+void RaftNode::peer_down(ServerId peer, TimePoint now) {
+  assert(started_);
+  assert_inputs_allowed();
+  if (role_ != Role::kFollower || peer == kNoServer || peer != leader_id_ ||
+      !membership_.is_voter(id_)) {
+    return;
+  }
+  // The leader's process is gone, so it can grant no further lease read and
+  // the vote-recency guard has nothing left to protect. The restart guard
+  // stays: it covers acks this server's previous incarnation gave to some
+  // other leader before it crashed.
+  leader_id_ = kNoServer;
+  last_leader_contact_ = kNever;
+  ++counters_.leaders_lost;
+  // Only the detection wait goes: the offset above the floor is the gap
+  // that keeps ESCAPE's lower priorities (and Raft's random spread) from
+  // campaigning together.
+  const Duration offset =
+      policy_->next_election_timeout(rng_) - policy_->min_election_timeout();
+  election_deadline_ = std::min(election_deadline_, now + std::max<Duration>(offset, 0));
+  sync_soft_state();
+}
+
 std::optional<LogIndex> RaftNode::submit(std::vector<std::uint8_t> command, TimePoint now) {
   assert(started_);
   assert_inputs_allowed();

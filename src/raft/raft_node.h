@@ -4,7 +4,8 @@
 // behaviour delegated to an ElectionPolicy (vanilla Raft, Z-Raft, or ESCAPE).
 //
 // RaftNode performs NO I/O: no WAL, no state store, no transport, no clock,
-// no threads. Inputs are step(envelope)/tick()/submit()/submit_read(), all
+// no threads. Inputs are step(envelope)/tick()/submit()/submit_read(), plus
+// peer_down() when a runtime can prove a peer's process is gone, all
 // stamped with a caller-supplied time; every side effect the protocol
 // requires is *described* in a Ready batch (raft/ready.h) that a driver
 // drains and executes:
@@ -182,6 +183,7 @@ struct NodeCounters {
   std::uint64_t reads_rejected = 0;            ///< pending reads dropped
   std::uint64_t votes_refused_recent_leader = 0;  ///< vote-recency guard hits
   std::uint64_t membership_changes = 0;           ///< conf entries adopted
+  std::uint64_t leaders_lost = 0;                 ///< peer_down reports acted on
   PowHistogram append_batch_entries;  ///< entries per entry-carrying AppendEntries
   PowHistogram inflight_depth;        ///< per-peer window depth after each such send
   std::uint64_t wal_group_syncs = 0;  ///< driver group-commit syncs (see NodeDriver)
@@ -237,6 +239,18 @@ class RaftNode {
 
   /// Fires any timer whose deadline is <= now.
   void tick(TimePoint now);
+
+  /// The runtime has proof that `peer`'s process is gone (net::RealNode: a
+  /// dial to its loopback port was refused). A voter that follows `peer`
+  /// forgets it — leader hint and vote-recency contact; the restart guard
+  /// stays — and pulls its election deadline in to
+  /// `now + (period − min_election_timeout)`: ESCAPE's P = n campaigns at
+  /// the next tick and every lower priority keeps its Eq. 1 gap, while
+  /// randomized Raft draws from [0, max − min]. Never delays an armed
+  /// deadline. Any other report (a follower, or this node leads or
+  /// campaigns) changes nothing. The simulator never calls it outside
+  /// SimCheck's crash-notify action.
+  void peer_down(ServerId peer, TimePoint now);
 
   /// Leader-side command submission. Returns the assigned log index, or
   /// nullopt when this node is not the leader (caller redirects using

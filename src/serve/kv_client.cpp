@@ -292,7 +292,15 @@ void KvClient::on_close(ConnId conn) {
   // A dropped leader link usually means the leader died; try elsewhere.
   if (server == leader_) rotate_leader_locked();
   for (auto& [id, pending] : pending_) {
-    if (pending.in_flight && pending.sent_conn == conn) retry_later_locked(pending, now);
+    if (!pending.in_flight || pending.sent_conn != conn) continue;
+    // A failover can finish before its dead leader's link reports the drop:
+    // a command sent before the latest notice goes to the notice's leader now.
+    if (pending.sent_notices != notices_) {
+      pending.in_flight = false;
+      send_locked(id, pending, now);
+    } else {
+      retry_later_locked(pending, now);
+    }
   }
 }
 

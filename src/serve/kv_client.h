@@ -16,7 +16,8 @@
 //     `retry_backoff`; a dropped connection to the target, or a failed
 //     re-dial, moves the target on to the next server;
 //   * a reply to a command sent before the latest notice never moves the
-//     target: a kNotLeader one resends at once to the notice's leader;
+//     target: a kNotLeader one resends at once to the notice's leader, and
+//     so does a command whose connection drops after the notice came;
 //   * kRetry, and a command whose target cannot be reached (its connection
 //     dropped, or none is up), resend after `retry_backoff`.
 //

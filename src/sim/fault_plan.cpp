@@ -48,6 +48,7 @@ const char* action_name(const FaultAction& action) {
     const char* operator()(const SnapshotAndCrash&) const { return "snapshot-crash"; }
     const char* operator()(const JoinServer&) const { return "join-server"; }
     const char* operator()(const LeaveServer&) const { return "leave-server"; }
+    const char* operator()(const CrashNotify&) const { return "crash-notify"; }
   };
   return std::visit(Visitor{}, action);
 }
@@ -195,6 +196,21 @@ void PlanRuntime::crash_now(ServerId id, bool deferred) {
   cluster_.crash(id);
   last_crashed_ = id;
   markers_.push_back(std::move(marker));
+}
+
+void PlanRuntime::notify_down(ServerId victim) {
+  for (const ServerId member : cluster_.members()) {
+    if (member == victim) continue;
+    const TimePoint at = cluster_.loop().now() + cluster_.network().sample_latency(victim, member);
+    cluster_.loop().schedule_at(at, [this, live = live_, victim, member] {
+      if (!live->active || cluster_.alive(victim) || !cluster_.alive(member)) return;
+      if (!cluster_.network().link_up(victim, member) ||
+          !cluster_.network().link_up(member, victim)) {
+        return;
+      }
+      cluster_.peer_down(member, victim);
+    });
+  }
 }
 
 void PlanRuntime::apply_latency() {
@@ -528,6 +544,18 @@ void PlanRuntime::execute(const FaultAction& action) {
       // traces attribute the crash to this compound action.
       if (!rt.markers_.empty()) rt.markers_.back().what = "snapshot-crash";
       marker.what.clear();
+    }
+    void operator()(const CrashNotify& a) {
+      const ServerId id = rt.resolve(a.node);
+      marker.node = id;
+      if (id == kNoServer || !rt.cluster_.alive(id)) {
+        marker.ok = false;
+        return;
+      }
+      rt.crash_now(id, /*deferred=*/false);
+      if (!rt.markers_.empty()) rt.markers_.back().what = "crash-notify";
+      marker.what.clear();
+      rt.notify_down(id);
     }
   };
 

@@ -4,7 +4,8 @@
 // recover a node, isolate it, cut links (symmetric or one-way), swap the
 // latency model, change the loss rate Δ, transfer leadership, drive client
 // traffic, script election timeouts, snapshot/compact a node's log (alone or
-// paired with an immediate crash) — that a PlanRuntime executes
+// paired with an immediate crash), crash a node and tell the survivors —
+// that a PlanRuntime executes
 // deterministically on a SimCluster's EventLoop. Scenarios thereby become
 // *data*: the paper's drivers (src/sim/scenario.cpp), every bench harness,
 // and the named scenarios in the registry (src/sim/scenario_registry.h) all
@@ -226,12 +227,21 @@ struct SnapshotAndCrash {
   NodeRef node = NodeRef::leader();
 };
 
+/// Crashes the node as CrashNode does (a leaderless cluster records a failed
+/// marker instead of deferring), then tells the survivors, as a real node
+/// learns it from a refused dial: one link latency (victim -> member) later,
+/// if the victim is still down, every live member whose links with it are
+/// up in both directions gets RaftNode::peer_down(victim).
+struct CrashNotify {
+  NodeRef node = NodeRef::leader();
+};
+
 using FaultAction =
     std::variant<CrashNode, RecoverNode, RecoverAll, IsolateNode, HealNode, CutLink,
                  HealLink, PartialIsolate, HealPartial, SwapLatency, DegradeNode,
                  RestoreLatency, SetLossRate, LeaderTransfer, TrafficBurst, ProposalBurst,
                  ClientRead, ScriptTimeout, MarkEpisode, TriggerSnapshot, SnapshotAndCrash,
-                 JoinServer, LeaveServer>;
+                 JoinServer, LeaveServer, CrashNotify>;
 
 /// Human-readable tag for traces and markers ("crash", "traffic", ...).
 const char* action_name(const FaultAction& action);
@@ -351,6 +361,8 @@ class PlanRuntime {
   void execute(const FaultAction& action);
   ServerId resolve(const NodeRef& ref) const;
   void crash_now(ServerId id, bool deferred);
+  /// Schedules CrashNotify's peer_down reports about `victim`.
+  void notify_down(ServerId victim);
   void apply_latency();
   void traffic_tick(TimePoint end, Duration interval, std::size_t payload_bytes);
   void proposal_tick(TimePoint end, Duration interval, std::size_t per_tick,

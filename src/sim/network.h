@@ -91,6 +91,13 @@ class SimNetwork {
   void cut_link_one_way(ServerId from, ServerId to) { cut_one_way_.insert({from, to}); }
   void heal_link_one_way(ServerId from, ServerId to) { cut_one_way_.erase({from, to}); }
 
+  /// True when no isolation or cut blocks `from` -> `to`.
+  bool link_up(ServerId from, ServerId to) const;
+
+  /// One draw of the current latency model for `from` -> `to` (advances the
+  /// network's RNG, as a send does).
+  Duration sample_latency(ServerId from, ServerId to) { return options_.latency(from, to, rng_); }
+
   const NetworkStats& stats() const { return stats_; }
 
   /// Read-only view of the behaviour knobs. Mutation goes through the
@@ -113,7 +120,6 @@ class SimNetwork {
   static std::pair<ServerId, ServerId> ordered(ServerId a, ServerId b) {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
   }
-  bool link_up(ServerId from, ServerId to) const;
   void transmit(const rpc::Envelope& envelope);
 
   EventLoop& loop_;

@@ -33,6 +33,7 @@ enum class FuzzAction : int {
   kClientRead,
   kJoinServer,
   kLeaveServer,
+  kCrashNotify,
   kCount,
 };
 
@@ -43,15 +44,16 @@ struct ActionSpec {
   const char* name;
   int weight;
 };
-// The membership pair defaults to weight 0: a zero weight draws no RNG and
-// adds nothing to the weight total, so every pre-membership scenario seed
-// still maps to the byte-identical schedule (the repro contract). CI's
-// dedicated membership pass opts in with --actions join-server=N,...
+// The membership pair and crash-notify default to weight 0: a zero weight
+// draws no RNG and adds nothing to the weight total, so every older scenario
+// seed still maps to the byte-identical schedule (the repro contract). CI's
+// dedicated passes opt in with --actions join-server=N,... and
+// --actions crash-notify=N,...
 constexpr ActionSpec kActionSpecs[] = {
     {"crash", 30},   {"cut-link", 12}, {"partial-isolate", 12}, {"isolate", 8},
     {"degrade", 10}, {"loss-storm", 10}, {"transfer", 8},       {"burst", 10},
     {"proposal-burst", 12}, {"snapshot", 12}, {"snapshot-crash", 8}, {"client-read", 14},
-    {"join-server", 0}, {"leave-server", 0},
+    {"join-server", 0}, {"leave-server", 0}, {"crash-notify", 0},
 };
 static_assert(std::size(kActionSpecs) == kFuzzActionCount,
               "every FuzzAction needs a name + default weight row");
@@ -191,8 +193,10 @@ FuzzCase make_fuzz_case(std::uint64_t scenario_seed, const SimCheckOptions& opti
       }
     }
 
-    switch (pick_action(rng, weights)) {
-      case FuzzAction::kCrash: {
+    const FuzzAction action = pick_action(rng, weights);
+    switch (action) {
+      case FuzzAction::kCrash:
+      case FuzzAction::kCrashNotify: {
         if (crashed_down + isolated_down >= fault_budget) break;  // keep quorum
         // The leader is the interesting victim (it opens a measurement
         // episode and may defer); direct ids probe follower crashes. Each
@@ -201,9 +205,16 @@ FuzzCase make_fuzz_case(std::uint64_t scenario_seed, const SimCheckOptions& opti
         // gets sustained exercise. A leader crash's victim is unknown until
         // it fires, so its repair is best-effort (last_crashed may point at
         // a newer victim by then); the closing sweeps revive stragglers.
+        // crash-notify also tells the survivors (RaftNode::peer_down), so
+        // the victim's followers skip the detection wait.
         const bool leader = rng.chance(0.6);
         const ServerId direct = random_server();
-        plan.at(t, CrashNode{leader ? NodeRef::leader() : NodeRef::id(direct)});
+        const NodeRef victim = leader ? NodeRef::leader() : NodeRef::id(direct);
+        if (action == FuzzAction::kCrash) {
+          plan.at(t, CrashNode{victim});
+        } else {
+          plan.at(t, CrashNotify{victim});
+        }
         ++crashed_down;
         const Duration up = t + ms_between(rng, 2'500, 8'000);
         plan.at(up, RecoverNode{leader ? NodeRef::last_crashed() : NodeRef::id(direct)});

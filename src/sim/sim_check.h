@@ -2,7 +2,8 @@
 //
 // The registry's hand-written scenarios only exercise the fault schedules we
 // thought to write. SimCheck composes *legal* random FaultPlans from the
-// full action vocabulary — crashes (direct and crash-the-leader), symmetric
+// full action vocabulary — crashes (direct and crash-the-leader, and
+// crash-notify, which also reports the death to the survivors), symmetric
 // and one-way link cuts, partial isolation, node degradation, loss-rate
 // storms, planned leadership transfers, traffic bursts, snapshot actions,
 // linearizable read storms (client-read) — runs each

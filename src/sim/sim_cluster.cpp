@@ -166,6 +166,13 @@ void SimCluster::recover(ServerId id) {
   pump(id);
 }
 
+void SimCluster::peer_down(ServerId id, ServerId peer) {
+  auto& host = hosts_.at(id);
+  if (!host.alive || !host.node) return;
+  host.node->peer_down(peer, loop_->now());
+  pump(id);
+}
+
 std::optional<LogIndex> SimCluster::trigger_snapshot(ServerId id) {
   auto& host = hosts_.at(id);
   if (!host.alive || !host.node) return std::nullopt;

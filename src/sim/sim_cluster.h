@@ -113,6 +113,10 @@ class SimCluster {
   /// rebuilds the application state machine from its payload).
   void recover(ServerId id);
 
+  /// Tells live node `id` that `peer`'s process is gone (RaftNode::peer_down)
+  /// and drains the result. No-op when `id` is down.
+  void peer_down(ServerId id, ServerId peer);
+
   // --- snapshotting -----------------------------------------------------------
   /// Takes a snapshot of `id` at its applied index and compacts its log and
   /// WAL. Returns the compacted-through index, or nullopt when the node is

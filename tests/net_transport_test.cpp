@@ -14,11 +14,14 @@
 #include <mutex>
 #include <thread>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 
 #include <unistd.h>
 
+#include "common/serde.h"
 #include "core/escape_policy.h"
 #include "net/event_loop.h"
 #include "net/real_cluster.h"
@@ -379,6 +382,245 @@ TEST(TcpTransportRobustnessTest, FramesSurviveTinySendBuffer) {
   t2.stop();
 }
 
+// --- leader-loss signal: probes and refusals ----------------------------------
+
+/// Peers a transport reported down, in report order.
+struct DownLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<ServerId> peers;
+
+  void push(ServerId peer) {
+    {
+      std::lock_guard lock(mu);
+      peers.push_back(peer);
+    }
+    cv.notify_all();
+  }
+  std::size_t count() {
+    std::lock_guard lock(mu);
+    return peers.size();
+  }
+  ServerId at(std::size_t i) {
+    std::lock_guard lock(mu);
+    return peers.at(i);
+  }
+  bool wait_for_count(std::size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, timeout, [&] { return peers.size() >= n; });
+  }
+};
+
+template <typename Pred>
+bool wait_until(Pred pred, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+/// A blocking raw client on 127.0.0.1:`port`: an impostor that speaks the
+/// transport's wire format by hand. -1 when the connect fails.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void raw_send(int fd, const std::vector<std::uint8_t>& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// The first frame on every transport link: the sender's id.
+std::vector<std::uint8_t> hello_from(ServerId id) {
+  Encoder e;
+  e.u32(id);
+  return rpc::frame_payload(e.take());
+}
+
+std::atomic<int> g_dials{0};
+std::atomic<std::uint16_t> g_dial_port{0};
+
+/// connect() that counts the dials to g_dial_port.
+int counting_connect(int fd, const sockaddr* addr, socklen_t len) {
+  if (ntohs(reinterpret_cast<const sockaddr_in*>(addr)->sin_port) == g_dial_port.load()) {
+    g_dials.fetch_add(1);
+  }
+  return ::connect(fd, addr, len);
+}
+
+/// Counts the dials to `port` from here on; install counting_connect (in a
+/// HookScope) before any loop starts.
+void count_dials_to(std::uint16_t port) {
+  g_dials.store(0);
+  g_dial_port.store(port);
+}
+
+TEST(TcpTransportTest, RefusedDialReportsPeerDown) {
+  // Peer 2 talks with transport 1, then stops: both links close from its
+  // side, 1's probe to its port is refused, and 1 reports it down — once.
+  Port0Cluster ports({1, 2});
+  Mailbox inbox1, inbox2;
+  DownLog down;
+  TcpTransport t1(1, ports.endpoints, [&](const rpc::Envelope& e) { inbox1.push(e); },
+                  ports.options_for(1));
+  t1.set_peer_down([&](ServerId peer) { down.push(peer); });
+  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox2.push(e); },
+                  ports.options_for(2));
+  t1.start();
+  t2.start();
+  t1.send({1, 2, probe_message(1)});
+  t2.send({2, 1, probe_message(2)});
+  ASSERT_TRUE(inbox1.wait_for_count(1, 5000ms));
+  ASSERT_TRUE(inbox2.wait_for_count(1, 5000ms));
+
+  t2.stop();
+  ASSERT_TRUE(down.wait_for_count(1, 5000ms));
+  EXPECT_EQ(down.at(0), 2u);
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(down.count(), 1u);
+  t1.stop();
+}
+
+TEST(TcpTransportTest, PeerClosedLinkIsProbedAndALiveListenerIsNotReported) {
+  // A link from "2" closes from 2's side while 2 is alive: 1 dials 2's port
+  // once, 2's listener accepts the probe, and nothing is reported.
+  HookScope hooks;
+  testhooks::connect_fn = &counting_connect;
+  Port0Cluster ports({1, 2});
+  count_dials_to(ports.endpoints.at(2));
+  DownLog down;
+  TcpTransport t1(1, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
+  t1.set_peer_down([&](ServerId peer) { down.push(peer); });
+  TcpTransport t2(2, ports.endpoints, [](const rpc::Envelope&) {}, ports.options_for(2));
+  t1.start();
+  t2.start();
+
+  const int fd = raw_connect(t1.port());
+  ASSERT_GE(fd, 0);
+  raw_send(fd, hello_from(2));
+  ASSERT_TRUE(wait_until([&] { return t1.loop().stats().frames_in.load() >= 1; }, 5000ms));
+  ::close(fd);
+  ASSERT_TRUE(wait_until([&] { return t2.loop().stats().accepted.load() >= 1; }, 5000ms));
+  std::this_thread::sleep_for(200ms);
+  EXPECT_EQ(g_dials.load(), 1);
+  EXPECT_EQ(down.count(), 0u);
+  t1.stop();
+  t2.stop();
+}
+
+TEST(TcpTransportTest, LocallyClosedLinkIsNotReported) {
+  // Peer 2's port is closed, so a probe would be refused and reported. A
+  // link from "2" that 1 closes itself, after a frame decode error, dials
+  // nothing; the same link closed by its far side is probed and reported.
+  HookScope hooks;
+  testhooks::connect_fn = &counting_connect;
+  Port0Cluster ports({1});
+  auto endpoints = ports.endpoints;
+  endpoints[2] = dead_port();
+  count_dials_to(endpoints[2]);
+  DownLog down;
+  TcpTransport t1(1, endpoints, [](const rpc::Envelope&) {}, ports.options_for(1));
+  t1.set_peer_down([&](ServerId peer) { down.push(peer); });
+  t1.start();
+  const auto& stats = t1.loop().stats();
+
+  const int fd = raw_connect(t1.port());
+  ASSERT_GE(fd, 0);
+  raw_send(fd, hello_from(2));
+  ASSERT_TRUE(wait_until([&] { return stats.frames_in.load() >= 1; }, 5000ms));
+  raw_send(fd, std::vector<std::uint8_t>(16, 0xFF));  // not a frame header
+  ASSERT_TRUE(wait_until([&] { return stats.decode_errors.load() >= 1; }, 5000ms));
+  std::this_thread::sleep_for(200ms);
+  EXPECT_EQ(g_dials.load(), 0);
+  EXPECT_EQ(down.count(), 0u);
+  ::close(fd);
+
+  const int far = raw_connect(t1.port());
+  ASSERT_GE(far, 0);
+  raw_send(far, hello_from(2));
+  ASSERT_TRUE(wait_until([&] { return stats.frames_in.load() >= 2; }, 5000ms));
+  ::close(far);
+  ASSERT_TRUE(down.wait_for_count(1, 5000ms));
+  EXPECT_EQ(down.at(0), 2u);
+  EXPECT_EQ(g_dials.load(), 1);
+  t1.stop();
+}
+
+TEST(TcpTransportTest, NoDialLoopAgainstADeadPeer) {
+  // With no traffic, a reported peer's closed port is not dialed again: a
+  // refusal never re-probes, and its other links closing find it reported.
+  HookScope hooks;
+  testhooks::connect_fn = &counting_connect;
+  Port0Cluster ports({1, 2});
+  count_dials_to(ports.endpoints.at(2));
+  Mailbox inbox1, inbox2;
+  DownLog down;
+  TcpTransport t1(1, ports.endpoints, [&](const rpc::Envelope& e) { inbox1.push(e); },
+                  ports.options_for(1));
+  t1.set_peer_down([&](ServerId peer) { down.push(peer); });
+  TcpTransport t2(2, ports.endpoints, [&](const rpc::Envelope& e) { inbox2.push(e); },
+                  ports.options_for(2));
+  t1.start();
+  t2.start();
+  t1.send({1, 2, probe_message(1)});
+  t2.send({2, 1, probe_message(2)});
+  ASSERT_TRUE(inbox1.wait_for_count(1, 5000ms));
+  ASSERT_TRUE(inbox2.wait_for_count(1, 5000ms));
+  const int before = g_dials.load();
+  t2.stop();
+  ASSERT_TRUE(down.wait_for_count(1, 5000ms));
+  std::this_thread::sleep_for(200ms);
+  EXPECT_LE(g_dials.load() - before, 2);
+
+  // A listener that accepts and at once closes every connection — one caught
+  // closing, or a stranger on the port — gets a few probe rounds, no loop.
+  Port0Cluster rude({3});
+  const int listen_fd = rude.fds.at(3);
+  std::atomic<bool> stop{false};
+  std::thread acceptor([&] {
+    while (!stop.load()) {
+      const int conn = ::accept(listen_fd, nullptr, nullptr);
+      if (conn >= 0) {
+        ::close(conn);
+      } else {
+        std::this_thread::sleep_for(1ms);
+      }
+    }
+  });
+  Port0Cluster third({4});
+  auto endpoints = third.endpoints;
+  endpoints[3] = rude.endpoints.at(3);
+  count_dials_to(endpoints[3]);
+  TcpTransport t4(4, endpoints, [](const rpc::Envelope&) {}, third.options_for(4));
+  t4.set_peer_down([&](ServerId peer) { down.push(peer); });
+  t4.start();
+  const int fd = raw_connect(t4.port());
+  ASSERT_GE(fd, 0);
+  raw_send(fd, hello_from(3));
+  ASSERT_TRUE(wait_until([&] { return t4.loop().stats().frames_in.load() >= 1; }, 5000ms));
+  ::close(fd);
+  ASSERT_TRUE(wait_until([&] { return g_dials.load() >= 1; }, 5000ms));
+  std::this_thread::sleep_for(200ms);
+  EXPECT_LE(g_dials.load(), 4);
+  EXPECT_EQ(down.count(), 1u);  // peer 2 only: no probe of 3 was refused
+  t4.stop();
+  stop.store(true);
+  acceptor.join();
+  ::close(listen_fd);
+  t1.stop();
+}
+
 // --- real-time cluster -------------------------------------------------------
 
 PolicyFactory fast_escape() {
@@ -593,5 +835,160 @@ TEST(RealClusterTest, OnePostedBurstSharesOneWalSync) {
   std::filesystem::remove_all(dir);
 }
 
+
+// --- real-time cluster: the leader-loss signal --------------------------------
+
+/// ESCAPE with baseTime 1 s and gap 500 ms: a failover that waits for the
+/// election timer takes at least a second.
+PolicyFactory slow_escape() {
+  core::EscapeOptions opts;
+  opts.base_time = from_ms(1000);
+  opts.gap = from_ms(500);
+  return [opts](ServerId id, std::size_t n) {
+    return std::make_unique<core::EscapePolicy>(id, n, opts);
+  };
+}
+
+std::vector<std::unique_ptr<RealNode>> start_cluster(Port0Cluster& ports,
+                                                     const PolicyFactory& policy) {
+  std::vector<std::unique_ptr<RealNode>> nodes;
+  for (const auto& [id, port] : ports.endpoints) {
+    RealNode::Options options;
+    options.node.heartbeat_interval = from_ms(60);
+    options.listen_fd = ports.fds.at(id);
+    nodes.push_back(std::make_unique<RealNode>(id, ports.endpoints, policy, options));
+  }
+  for (auto& node : nodes) node->start();
+  return nodes;
+}
+
+/// Waits for a leader whose followers have each adopted a patrol
+/// configuration, so the ladder is dealt: one follower holds P = n.
+ServerId wait_for_settled_leader(std::vector<std::unique_ptr<RealNode>>& nodes) {
+  const ServerId leader = wait_for_leader(nodes, 10000ms);
+  if (leader == kNoServer) return kNoServer;
+  const bool dealt = wait_until(
+      [&] {
+        for (const auto& node : nodes) {
+          if (node->id() != leader && node->counters().config_adoptions == 0) return false;
+        }
+        return true;
+      },
+      5000ms);
+  return dealt ? leader : kNoServer;
+}
+
+std::uint64_t total(const std::vector<std::unique_ptr<RealNode>>& nodes,
+                    std::uint64_t raft::NodeCounters::*counter) {
+  std::uint64_t sum = 0;
+  for (const auto& node : nodes) sum += node->counters().*counter;
+  return sum;
+}
+
+std::vector<Term> terms(const std::vector<std::unique_ptr<RealNode>>& nodes) {
+  std::vector<Term> out;
+  for (const auto& node : nodes) out.push_back(node->term());
+  return out;
+}
+
+TEST(RealClusterTest, StoppedLeaderRefusesSubmissions) {
+  // A stopped node's loop is gone and post_and_wait runs submissions
+  // inline; they must not reach a core that still believes it leads.
+  Port0Cluster ports({1});
+  RealNode::Options options;
+  options.node.heartbeat_interval = from_ms(60);
+  options.listen_fd = ports.fds[1];
+  RealNode node(1, ports.endpoints, fast_escape(), options);
+  node.start();
+  ASSERT_TRUE(wait_until([&] { return node.role() == Role::kLeader; }, 5000ms));
+  ASSERT_TRUE(node.submit({1}).has_value());
+  ASSERT_TRUE(node.submit_read().has_value());
+
+  node.stop();
+  EXPECT_EQ(node.role(), Role::kLeader);
+  EXPECT_FALSE(node.submit({2}).has_value());
+  EXPECT_FALSE(node.submit_read().has_value());
+}
+
+TEST(RealClusterTest, StoppedLeaderIsReplacedWithoutWaitingBaseTime) {
+  Port0Cluster ports({1, 2, 3});
+  auto nodes = start_cluster(ports, slow_escape());
+  const ServerId leader = wait_for_settled_leader(nodes);
+  ASSERT_NE(leader, kNoServer);
+  const Term old_term = nodes[leader - 1]->term();
+  const std::uint64_t campaigns = total(nodes, &raft::NodeCounters::campaigns_started);
+
+  const auto stopped_at = std::chrono::steady_clock::now();
+  nodes[leader - 1]->stop();
+  ServerId next = kNoServer;
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (const auto& node : nodes) {
+          if (node->id() != leader && node->role() == Role::kLeader) next = node->id();
+        }
+        return next != kNoServer;
+      },
+      5000ms));
+  const auto elapsed = std::chrono::steady_clock::now() - stopped_at;
+  EXPECT_LT(elapsed, 100ms);
+  EXPECT_GT(nodes[next - 1]->term(), old_term);
+
+  // The next priority's pulled-in deadline (one gap) passes without a rival.
+  std::this_thread::sleep_for(700ms);
+  EXPECT_EQ(nodes[next - 1]->role(), Role::kLeader);
+  EXPECT_EQ(total(nodes, &raft::NodeCounters::campaigns_started) - campaigns, 1u);
+  EXPECT_EQ(total(nodes, &raft::NodeCounters::leaders_lost), 2u);  // each survivor, once
+  for (auto& node : nodes) node->stop();
+}
+
+TEST(RealClusterTest, HungLeaderKeepsItsLeadership) {
+  // A leader whose loop stalls closes no socket: nothing is probed, and the
+  // stall is shorter than any election timeout.
+  Port0Cluster ports({1, 2, 3});
+  auto nodes = start_cluster(ports, slow_escape());
+  const ServerId leader = wait_for_settled_leader(nodes);
+  ASSERT_NE(leader, kNoServer);
+  const std::uint64_t campaigns = total(nodes, &raft::NodeCounters::campaigns_started);
+  const std::vector<Term> before = terms(nodes);
+
+  nodes[leader - 1]->post([] { std::this_thread::sleep_for(400ms); });
+  std::this_thread::sleep_for(700ms);
+  EXPECT_EQ(nodes[leader - 1]->role(), Role::kLeader);
+  EXPECT_EQ(terms(nodes), before);
+  EXPECT_EQ(total(nodes, &raft::NodeCounters::campaigns_started), campaigns);
+  EXPECT_EQ(total(nodes, &raft::NodeCounters::leaders_lost), 0u);
+  for (auto& node : nodes) node->stop();
+}
+
+TEST(RealClusterTest, ForgedLeaderLinkCloseDoesNotDepose) {
+  // An impostor opens a link to a follower under the leader's id and closes
+  // it. The follower probes the leader's port, the live listener accepts,
+  // and nothing changes.
+  HookScope hooks;
+  testhooks::connect_fn = &counting_connect;
+  Port0Cluster ports({1, 2, 3});
+  auto nodes = start_cluster(ports, slow_escape());
+  const ServerId leader = wait_for_settled_leader(nodes);
+  ASSERT_NE(leader, kNoServer);
+  const ServerId follower = leader == 1 ? 2 : 1;
+  const std::uint64_t campaigns = total(nodes, &raft::NodeCounters::campaigns_started);
+  const std::vector<Term> before = terms(nodes);
+  count_dials_to(ports.endpoints.at(leader));
+
+  const int fd = raw_connect(ports.endpoints.at(follower));
+  ASSERT_GE(fd, 0);
+  raw_send(fd, hello_from(leader));
+  std::this_thread::sleep_for(50ms);
+  ::close(fd);
+  ASSERT_TRUE(wait_until([&] { return g_dials.load() >= 1; }, 5000ms));
+
+  // Longer than the pulled-in deadline of either follower's priority.
+  std::this_thread::sleep_for(700ms);
+  EXPECT_EQ(nodes[leader - 1]->role(), Role::kLeader);
+  EXPECT_EQ(terms(nodes), before);
+  EXPECT_EQ(total(nodes, &raft::NodeCounters::campaigns_started), campaigns);
+  EXPECT_EQ(total(nodes, &raft::NodeCounters::leaders_lost), 0u);
+  for (auto& node : nodes) node->stop();
+}
 }  // namespace
 }  // namespace escape::net

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/escape_policy.h"
 #include "storage/state_store.h"
 #include "storage/wal.h"
 
@@ -747,6 +748,133 @@ TEST(RaftPipelineTest, PowHistogramBucketsByBitWidth) {
   EXPECT_EQ(h.buckets[3], 2u);  // 4-7
   EXPECT_EQ(h.buckets[4], 1u);  // 8-15
   EXPECT_DOUBLE_EQ(h.mean(), (0 + 1 + 2 + 3 + 4 + 7 + 8 + 1024) / 8.0);
+}
+
+// --- leader-loss signal (peer_down) ---------------------------------------------
+
+constexpr Duration kBase = from_ms(1000);
+constexpr Duration kGap = from_ms(500);
+
+/// Member `id` of a five-server ESCAPE cluster (initial priority P = id, so
+/// its period is kBase + kGap * (5 - id)), following S1 in term 1 since a
+/// heartbeat at 100 ms.
+struct EscapeFollower {
+  explicit EscapeFollower(ServerId id) {
+    core::EscapeOptions opts;
+    opts.base_time = kBase;
+    opts.gap = kGap;
+    node = std::make_unique<DrivenNode>(id, std::vector<ServerId>{1, 2, 3, 4, 5},
+                                        std::make_unique<core::EscapePolicy>(id, 5, opts), store,
+                                        wal, Rng(7));
+    node->start(0);
+    rpc::AppendEntries ae;
+    ae.term = 1;
+    ae.leader_id = 1;
+    node->on_message({1, id, ae}, from_ms(100));
+    node->take_outbox();
+  }
+
+  storage::MemoryStateStore store;
+  storage::MemoryWal wal;
+  std::unique_ptr<DrivenNode> node;
+};
+
+TEST(RaftNodeTest, PeerDownFromLeaderPullsTimerToItsLadderOffset) {
+  const TimePoint down_at = from_ms(200);
+
+  // P = 5 (period baseTime): campaigns at the next tick, not at 1100 ms.
+  EscapeFollower top(5);
+  ASSERT_EQ(top.node->next_deadline(), from_ms(100) + kBase);
+  top.node->peer_down(1, down_at);
+  EXPECT_EQ(top.node->leader_hint(), kNoServer);
+  EXPECT_EQ(top.node->counters().leaders_lost, 1u);
+  EXPECT_EQ(top.node->next_deadline(), down_at);
+  top.node->on_tick(down_at);
+  EXPECT_EQ(top.node->role(), Role::kCandidate);
+  EXPECT_EQ(top.node->term(), 1 + 5);  // Eq. 2
+
+  // P = 4 keeps its one-gap offset behind P = 5.
+  EscapeFollower next(4);
+  next.node->peer_down(1, down_at);
+  EXPECT_EQ(next.node->next_deadline(), down_at + kGap);
+  next.node->on_tick(down_at + kGap - 1);
+  EXPECT_EQ(next.node->role(), Role::kFollower);
+  next.node->on_tick(down_at + kGap);
+  EXPECT_EQ(next.node->role(), Role::kCandidate);
+  EXPECT_EQ(next.node->term(), 1 + 4);
+}
+
+TEST(RaftNodeTest, PeerDownIgnoredUnlessItNamesTheLeader) {
+  // A follower hears that another follower is down.
+  EscapeFollower f(5);
+  const TimePoint deadline = f.node->next_deadline();
+  f.node->core().peer_down(2, from_ms(200));
+  EXPECT_FALSE(f.node->core().has_ready());
+  EXPECT_EQ(f.node->leader_hint(), 1u);
+  EXPECT_EQ(f.node->next_deadline(), deadline);
+  EXPECT_EQ(f.node->counters().leaders_lost, 0u);
+
+  // A candidate has no leader to lose.
+  f.node->on_tick(deadline);
+  ASSERT_EQ(f.node->role(), Role::kCandidate);
+  const TimePoint retry = f.node->next_deadline();
+  f.node->core().peer_down(1, deadline + 1);
+  EXPECT_FALSE(f.node->core().has_ready());
+  EXPECT_EQ(f.node->next_deadline(), retry);
+
+  // A leader hears that a follower, or itself, is down.
+  NodeFixture l;
+  elect_leader(l);
+  const TimePoint heartbeat = l.node->next_deadline();
+  for (ServerId peer : {ServerId{2}, ServerId{1}}) {
+    l.node->core().peer_down(peer, l.now);
+    EXPECT_FALSE(l.node->core().has_ready());
+    EXPECT_EQ(l.node->role(), Role::kLeader);
+    EXPECT_EQ(l.node->next_deadline(), heartbeat);
+  }
+  EXPECT_EQ(f.node->counters().leaders_lost + l.node->counters().leaders_lost, 0u);
+}
+
+TEST(RaftNodeTest, PeerDownNeverDelaysTheTimer) {
+  // P = 1 sits four gaps above baseTime: heartbeat at 100 ms, deadline 3100.
+  // A report at 2500 would put it at 4500; the armed deadline stays.
+  EscapeFollower f(1);
+  const TimePoint deadline = f.node->next_deadline();
+  ASSERT_EQ(deadline, from_ms(100) + kBase + 4 * kGap);
+  f.node->peer_down(1, from_ms(2500));
+  EXPECT_EQ(f.node->next_deadline(), deadline);
+  EXPECT_EQ(f.node->leader_hint(), kNoServer);
+  EXPECT_EQ(f.node->counters().leaders_lost, 1u);
+}
+
+TEST(RaftNodeTest, PeerDownLeavesTheRestartGuard) {
+  // A restarted follower (it holds a log) refuses votes for one guard window
+  // (0.85 x 100 ms) after start; a heartbeat at 10 ms would extend that to
+  // 95 ms, and forgetting the dead leader takes back only that extension.
+  NodeFixture f(1, 3, {rpc::LogEntry{1, 1, rpc::EntryKind::kNormal, {7}}});
+  f.node->start(0);
+  f.now = from_ms(10);
+  f.deliver(2, f.make_heartbeat(1));
+  f.now = from_ms(20);
+  f.node->peer_down(2, f.now);
+  ASSERT_EQ(f.node->leader_hint(), kNoServer);
+  f.node->take_outbox();
+
+  rpc::RequestVote rv;
+  rv.term = 2;
+  rv.candidate_id = 3;
+  rv.last_log_index = 1;
+  rv.last_log_term = 1;
+  f.now = from_ms(30);
+  f.deliver(3, rv);
+  EXPECT_EQ(f.node->counters().votes_refused_recent_leader, 1u);
+  EXPECT_EQ(f.node->counters().votes_granted, 0u);
+  EXPECT_EQ(f.node->term(), 1);  // a refused candidate's term is not adopted
+
+  f.now = from_ms(86);
+  f.deliver(3, rv);
+  EXPECT_EQ(f.node->counters().votes_granted, 1u);
+  EXPECT_EQ(f.node->term(), 2);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <set>
 #include <variant>
 
+#include "sim/presets.h"
 #include "sim/sim_check.h"
 
 namespace escape {
@@ -208,6 +209,50 @@ TEST(SimCheckTest, PassingTrialLeavesTheFailureRecordUntouched) {
   (void)sim::run_fuzz_trial(7, small_options(), &untouched);
   EXPECT_TRUE(untouched.repro.empty());
   EXPECT_TRUE(untouched.violations.empty());
+}
+
+TEST(SimCheckTest, CrashNotifyCampaignsBeforeBaseTime) {
+  // crash-notify ships at weight 0, so every older seed keeps its schedule.
+  // Weighted in, it crashes a node and reports the death to the survivors
+  // (RaftNode::peer_down); the invariants judge that input like any other,
+  // and a follower told its leader is gone campaigns well inside baseTime.
+  ASSERT_TRUE(sim::default_action_weights().count("crash-notify"));
+  EXPECT_EQ(sim::default_action_weights().at("crash-notify"), 0);
+
+  SimCheckOptions options = small_options();
+  options.action_weights = {{"crash-notify", 60}, {"crash", 0}, {"snapshot-crash", 0}};
+  const SimCheckResult result = sim::run_sim_check(options);
+  ASSERT_TRUE(result.ok()) << result.failures.front().repro << " ("
+                           << (result.failures.front().violations.empty()
+                                   ? "trace diverged"
+                                   : result.failures.front().violations.front())
+                           << ")";
+  EXPECT_GT(result.action_histogram.at("crash-notify"), 0u);
+
+  // On a quiet paper-preset cluster (100-200 ms links, 500 ms heartbeats),
+  // a timer-driven campaign starts at least baseTime - 500 ms - 100 ms after
+  // the crash; told of it, the top priority campaigns one link latency in.
+  const auto first_failover = [](auto crash) {
+    sim::ScenarioSpec spec;
+    spec.name = "crash-notify-probe";
+    spec.plan = [crash](sim::SimCluster&, const sim::ScenarioParams&) {
+      sim::FaultPlan plan;
+      plan.at(from_ms(3'000), crash);
+      return plan;
+    };
+    const sim::ScenarioReport report = sim::run_scenario(spec, sim::ScenarioParams{});
+    EXPECT_TRUE(report.safety_ok());
+    EXPECT_EQ(report.episodes.size(), 1u);
+    return report.episodes.empty() ? sim::FailoverResult{} : report.episodes.front();
+  };
+  const Duration base_time = sim::presets::paper_escape_options().base_time;
+  const sim::FailoverResult told = first_failover(sim::CrashNotify{sim::NodeRef::leader()});
+  const sim::FailoverResult timed = first_failover(sim::CrashNode{sim::NodeRef::leader()});
+  ASSERT_TRUE(told.converged);
+  ASSERT_TRUE(timed.converged);
+  EXPECT_LE(told.detection, from_ms(200));
+  EXPECT_EQ(told.campaigns, 1u);
+  EXPECT_GE(timed.detection, base_time - from_ms(600));
 }
 
 }  // namespace

@@ -59,6 +59,10 @@ class DrivenNode {
     node_->tick(now);
     driver_.pump();
   }
+  void peer_down(ServerId peer, TimePoint now) {
+    node_->peer_down(peer, now);
+    driver_.pump();
+  }
   std::optional<LogIndex> submit(std::vector<std::uint8_t> command, TimePoint now) {
     const auto index = node_->submit(std::move(command), now);
     driver_.pump();
